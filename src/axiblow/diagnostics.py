@@ -82,18 +82,24 @@ def max_location(u1, mesh_r: MeshMap, mesh_z: MeshMap):
 
 def vorticity_vector(u1: FieldGrid, w1: FieldGrid, mesh_r: MeshMap, mesh_z: MeshMap):
     """(omega^theta, omega^r, omega^z) = (r w1, -r u1_z, 2 u1 + r u1_r)."""
+    return vorticity_from(u1, w1, fd.ddr(u1, mesh_r).values, fd.ddz(u1, mesh_z).values,
+                          mesh_r)
+
+
+def vorticity_from(u1: FieldGrid, w1: FieldGrid, u1_r: np.ndarray, u1_z: np.ndarray,
+                   mesh_r: MeshMap):
+    """The vorticity vector from u1, w1 and the swirl derivatives u1_r, u1_z."""
     r = mesh_r.nodes_y[:, None]
-    u1_r = fd.ddr(u1, mesh_r).values
-    u1_z = fd.ddz(u1, mesh_z).values
-    w_theta = r * w1.values
-    w_r = -r * u1_z
-    w_z = 2.0 * u1.values + r * u1_r
-    return w_theta, w_r, w_z
+    return r * w1.values, -r * u1_z, 2.0 * u1.values + r * u1_r
 
 
 def vorticity_sup_norms(u1: FieldGrid, w1: FieldGrid, mesh_r: MeshMap, mesh_z: MeshMap):
     """Sup norms of the vorticity components and of the full vector magnitude."""
-    w_theta, w_r, w_z = vorticity_vector(u1, w1, mesh_r, mesh_z)
+    return sup_norms(*vorticity_vector(u1, w1, mesh_r, mesh_z))
+
+
+def sup_norms(w_theta, w_r, w_z):
+    """Sup norms of three vector components and of the vector magnitude."""
     mag = np.sqrt(w_theta**2 + w_r**2 + w_z**2)
     return (float(np.abs(w_theta).max()), float(np.abs(w_r).max()),
             float(np.abs(w_z).max()), float(mag.max()))

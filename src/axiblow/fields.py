@@ -3,16 +3,18 @@
 All derivatives are 2nd-order centered differences in the computational
 coordinates, converted to physical derivatives through the analytic map
 metric (v_r = v_rho / r_rho, v_rr = v_rhorho / r_rho^2 - r_rhorho v_rho /
-r_rho^3).  Stencils are closed by ghost values: parity reflection at
-rho = 0 and at both eta ends, cubic extrapolation at the solid wall
-rho = 1.  Terms with an explicit 1/r factor are evaluated at r = 0 by
-their parity limits instead of one-sided differencing.
+r_rho^3).  Every stencil here and in the low-pass filter runs on one
+ghost-padded array (``_pad``): one ghost row beyond each end, mirrored
+for an even end, mirrored and negated for an odd end, and extrapolated by
+the cubic through the four end rows at the solid wall rho = 1 and at any
+end without a parity.  Terms with an explicit 1/r factor are evaluated at
+r = 0 by their parity limits instead of one-sided differencing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -30,7 +32,8 @@ class FieldGrid:
     ``parity_r`` is the reflection parity at rho = 0; ``parity_z`` the
     parity at both eta = 0 and eta = 1 (the half-period symmetry makes the
     two axial ends behave identically).  Either may be None for data with
-    no usable symmetry, in which case one-sided stencils are used.
+    no usable symmetry; such an end gets the cubic-extrapolation ghost of
+    the wall.
     """
 
     values: np.ndarray
@@ -43,95 +46,92 @@ class FieldGrid:
                          self.parity_z if parity_z == 0 else parity_z)
 
 
-def wall_ghost(v: np.ndarray) -> np.ndarray:
-    """Cubic extrapolation ghost beyond the wall row (exact on cubics)."""
-    return 4.0 * v[-1] - 6.0 * v[-2] + 4.0 * v[-3] - v[-4]
+def _ghost(rows: np.ndarray, parity) -> np.ndarray:
+    """Ghost row beyond ``rows[0]``: mirrored for a parity, else cubic extrapolation."""
+    if parity == "even":
+        return rows[1]
+    if parity == "odd":
+        return -rows[1]
+    return 4.0 * rows[0] - 6.0 * rows[1] + 4.0 * rows[2] - rows[3]
 
 
-def _diff_rho(v: np.ndarray, parity_r, h: float) -> np.ndarray:
-    """Centered d/drho with parity ghost at rho=0, extrapolation at rho=1."""
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    if parity_r == "even":
-        out[0] = 0.0
-    elif parity_r == "odd":
-        out[0] = v[1] / h
-    else:
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (wall_ghost(v) - v[-2]) / (2.0 * h)
-    return out
+def _pad(v: np.ndarray, axis: int, lo, hi) -> np.ndarray:
+    """``v`` with one ghost row at each end of ``axis``, that axis moved first.
+
+    ``lo`` and ``hi`` are the parities of the two ends: "even" mirrors the
+    row next to the end, "odd" mirrors it negated, and None (the solid
+    wall, or data with no symmetry) extrapolates the cubic through the
+    four end rows.  The padded array is stored in ``v``'s axis order, so a
+    stencil result moved back with ``np.moveaxis`` has ``v``'s layout.
+    """
+    shape = list(v.shape)
+    shape[axis] += 2
+    p = np.moveaxis(np.empty(shape), axis, 0)
+    v = np.moveaxis(v, axis, 0)
+    p[1:-1] = v
+    p[0] = _ghost(v, lo)
+    p[-1] = _ghost(v[::-1], hi)
+    return p
 
 
-def _diff2_rho(v: np.ndarray, parity_r, h: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    if parity_r == "even":
-        out[0] = 2.0 * (v[1] - v[0]) / (h * h)
-    elif parity_r == "odd":
-        out[0] = 0.0
-    else:
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-    # With the cubic ghost this is the 2nd-order one-sided second difference.
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
-    return out
+def _first_difference(f: FieldGrid, mesh: "MeshMap", axis: int):
+    """The padded values of ``f`` along ``axis`` and their centered difference.
+
+    Axis 0 is rho: its rho = 0 end takes the radial parity and rho = 1 is
+    the wall.  Axis 1 is eta: both ends take the axial parity.
+    """
+    lo, hi = (f.parity_r, None) if axis == 0 else (f.parity_z, f.parity_z)
+    p = _pad(f.values, axis, lo, hi)
+    return p, (p[2:] - p[:-2]) / (2.0 * mesh.h)
 
 
-def _diff_eta(v: np.ndarray, parity_z, h: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
-    if parity_z == "even":
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
-    elif parity_z == "odd":
-        out[:, 0] = v[:, 1] / h
-        out[:, -1] = -v[:, -2] / h
-    else:
-        out[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * h)
-        out[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * h)
-    return out
+def _first(f: FieldGrid, mesh: "MeshMap", axis: int) -> np.ndarray:
+    """Physical first derivative of ``f`` along ``axis``."""
+    _, d1 = _first_difference(f, mesh, axis)
+    return np.moveaxis(d1 / mesh.nodes_dy[:, None], 0, axis)
 
 
-def _diff2_eta(v: np.ndarray, parity_z, h: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)
-    if parity_z == "even":
-        out[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / (h * h)
-        out[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / (h * h)
-    elif parity_z == "odd":
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
-    else:
-        out[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / (h * h)
-        out[:, -1] = (2.0 * v[:, -1] - 5.0 * v[:, -2] + 4.0 * v[:, -3] - v[:, -4]) / (h * h)
-    return out
+def _first_second(f: FieldGrid, mesh: "MeshMap", axis: int):
+    """Physical first and second derivatives of ``f`` along ``axis``, padded once."""
+    p, d1 = _first_difference(f, mesh, axis)
+    h = mesh.h
+    dy = mesh.nodes_dy[:, None]
+    d2y = mesh.nodes_d2y[:, None]
+    d2 = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)
+    return (np.moveaxis(d1 / dy, 0, axis),
+            np.moveaxis(d2 / dy**2 - d2y * d1 / dy**3, 0, axis))
 
 
 def ddr(f: FieldGrid, mesh_r: "MeshMap") -> FieldGrid:
     """Physical d/dr; flips the radial parity."""
-    drho = _diff_rho(f.values, f.parity_r, mesh_r.h)
-    return f.like(drho / mesh_r.nodes_dy[:, None], parity_r=_FLIP[f.parity_r])
+    return f.like(_first(f, mesh_r, 0), parity_r=_FLIP[f.parity_r])
 
 
 def ddz(f: FieldGrid, mesh_z: "MeshMap") -> FieldGrid:
     """Physical d/dz; flips the axial parity."""
-    deta = _diff_eta(f.values, f.parity_z, mesh_z.h)
-    return f.like(deta / mesh_z.nodes_dy[None, :], parity_z=_FLIP[f.parity_z])
+    return f.like(_first(f, mesh_z, 1), parity_z=_FLIP[f.parity_z])
 
 
 def d2dr2(f: FieldGrid, mesh_r: "MeshMap") -> FieldGrid:
-    dy = mesh_r.nodes_dy[:, None]
-    d2y = mesh_r.nodes_d2y[:, None]
-    drho = _diff_rho(f.values, f.parity_r, mesh_r.h)
-    d2rho = _diff2_rho(f.values, f.parity_r, mesh_r.h)
-    return f.like(d2rho / dy**2 - d2y * drho / dy**3)
+    return f.like(_first_second(f, mesh_r, 0)[1])
 
 
 def d2dz2(f: FieldGrid, mesh_z: "MeshMap") -> FieldGrid:
-    dy = mesh_z.nodes_dy[None, :]
-    d2y = mesh_z.nodes_d2y[None, :]
-    deta = _diff_eta(f.values, f.parity_z, mesh_z.h)
-    d2eta = _diff2_eta(f.values, f.parity_z, mesh_z.h)
-    return f.like(d2eta / dy**2 - d2y * deta / dy**3)
+    return f.like(_first_second(f, mesh_z, 1)[1])
+
+
+class Derivatives(NamedTuple):
+    """Physical first and second derivatives of one field in r and z."""
+
+    r: np.ndarray
+    rr: np.ndarray
+    z: np.ndarray
+    zz: np.ndarray
+
+
+def derivatives(f: FieldGrid, mesh_r: "MeshMap", mesh_z: "MeshMap") -> Derivatives:
+    """The values of ddr, d2dr2, ddz and d2dz2 of ``f``, each axis padded once."""
+    return Derivatives(*_first_second(f, mesh_r, 0), *_first_second(f, mesh_z, 1))
 
 
 def over_r(values: np.ndarray, mesh_r: "MeshMap", axis_limit: np.ndarray) -> np.ndarray:
@@ -163,59 +163,55 @@ def velocity_from_stream(psi: FieldGrid, mesh_r: "MeshMap", mesh_z: "MeshMap",
 
 def diffusion_u1(u1: FieldGrid, nu: "NuFields", mesh_r: "MeshMap",
                  mesh_z: "MeshMap") -> FieldGrid:
-    """Variable-coefficient diffusion term of the swirl equation.
+    """Variable-coefficient diffusion term of the swirl equation."""
+    return u1.like(diffusion_u1_from(u1, derivatives(u1, mesh_r, mesh_z), nu, mesh_r))
+
+
+def diffusion_u1_from(u1: FieldGrid, du: Derivatives, nu: "NuFields",
+                      mesh_r: "MeshMap") -> np.ndarray:
+    """Swirl diffusion from u1 and its derivatives ``du``.
 
     nu_r*(u_rr + 3 u_r / r) + nu_z*u_zz + (nu_r_r / r)*u + nu_r_r*u_r
     + nu_z_z*u_z, with (3/r) u_r -> 3 u_rr at the axis and nu_r_r / r
     supplied analytically.
     """
-    u_r = ddr(u1, mesh_r)
-    u_rr = d2dr2(u1, mesh_r)
-    u_z = ddz(u1, mesh_z)
-    u_zz = d2dz2(u1, mesh_z)
-    lap = nu.nu_r * (u_rr.values + 3.0 * over_r(u_r.values, mesh_r, u_rr.values)) \
-        + nu.nu_z * u_zz.values
-    lower = nu.nu_r_r_over_r * u1.values + nu.nu_r_r * u_r.values + nu.nu_z_z * u_z.values
-    return u1.like(lap + lower)
+    lap = nu.nu_r * (du.rr + 3.0 * over_r(du.r, mesh_r, du.rr)) + nu.nu_z * du.zz
+    lower = nu.nu_r_r_over_r * u1.values + nu.nu_r_r * du.r + nu.nu_z_z * du.z
+    return lap + lower
 
 
 def diffusion_w1(w1: FieldGrid, g: FieldGrid, uz: FieldGrid, nu: "NuFields",
                  mesh_r: "MeshMap", mesh_z: "MeshMap") -> FieldGrid:
-    """Diffusion term of the angular-vorticity equation, cross terms included.
+    """Diffusion term of the angular-vorticity equation, cross terms included."""
+    dw = derivatives(w1, mesh_r, mesh_z)
+    return w1.like(diffusion_w1_from(w1, dw, g, uz, nu, mesh_r, mesh_z))
+
+
+def diffusion_w1_from(w1: FieldGrid, dw: Derivatives, g: FieldGrid, uz: FieldGrid,
+                      nu: "NuFields", mesh_r: "MeshMap", mesh_z: "MeshMap") -> np.ndarray:
+    """Angular-vorticity diffusion from w1 and its derivatives ``dw``.
 
     ``g`` is u^r / r = -psi_z (stored undivided; even in r and z), so the
     1/r-singular velocity groupings reduce to regular expressions:
-    (1/r)(u^r_rr + u^r_r/r - u^r/r^2) = g_rr + 3 g_r / r, u^r_z / r = g_z,
-    u^r_zz / r = g_zz, and u^r_r = g + r g_r.  Groupings against odd nu
-    derivatives use the analytic ratios nu_*_r / r.
+    (1/r)(u^r_rr + u^r_r/r - u^r/r^2) = g_rr + 3 g_r / r, u^r_z / r = g_z
+    and u^r_zz / r = g_zz.  Groupings against odd nu derivatives use the
+    analytic ratios nu_*_r / r.  Each coefficient is a radial part plus an
+    axial part, so the mixed derivatives nu_r_rz and nu_z_rz vanish and
+    their terms are left out.
     """
-    w_r = ddr(w1, mesh_r)
-    w_rr = d2dr2(w1, mesh_r)
-    w_z = ddz(w1, mesh_z)
-    w_zz = d2dz2(w1, mesh_z)
-    out = nu.nu_r * (w_rr.values + 3.0 * over_r(w_r.values, mesh_r, w_rr.values)) \
-        + nu.nu_z * w_zz.values \
-        + nu.nu_r_r_over_r * w1.values + nu.nu_r_r * w_r.values + nu.nu_z_z * w_z.values
-
-    g_r = ddr(g, mesh_r)
-    g_rr = d2dr2(g, mesh_r)
-    g_z = ddz(g, mesh_z)
-    g_zz = d2dz2(g, mesh_z)
-    uz_r = ddr(uz, mesh_r)
-    uz_rr = d2dr2(uz, mesh_r)
-    uz_zz = d2dz2(uz, mesh_z)
-    uz_z = ddz(uz, mesh_z)
-    r = mesh_r.nodes_y[:, None]
-
-    cross = nu.nu_r_z * (g_rr.values + 3.0 * over_r(g_r.values, mesh_r, g_rr.values)) \
-        + nu.nu_z_z * g_zz.values \
-        - nu.nu_r_r_over_r * (uz_rr.values + over_r(uz_r.values, mesh_r, uz_rr.values)) \
-        - nu.nu_z_r_over_r * uz_zz.values \
-        + nu.nu_r_rz_over_r * (g.values + r * g_r.values) \
-        + nu.nu_z_zz * g_z.values \
-        - nu.nu_r_rr * over_r(uz_r.values, mesh_r, uz_rr.values) \
-        - nu.nu_z_rz_over_r * uz_z.values
-    return w1.like(out + cross)
+    out = nu.nu_r * (dw.rr + 3.0 * over_r(dw.r, mesh_r, dw.rr)) + nu.nu_z * dw.zz \
+        + nu.nu_r_r_over_r * w1.values + nu.nu_r_r * dw.r + nu.nu_z_z * dw.z
+    dg = derivatives(g, mesh_r, mesh_z)
+    uz_r, uz_rr = _first_second(uz, mesh_r, 0)
+    uz_zz = _first_second(uz, mesh_z, 1)[1]     # uz_z is read by no term
+    uz_r_over_r = over_r(uz_r, mesh_r, uz_rr)
+    cross = nu.nu_r_z * (dg.rr + 3.0 * over_r(dg.r, mesh_r, dg.rr)) \
+        + nu.nu_z_z * dg.zz \
+        - nu.nu_r_r_over_r * (uz_rr + uz_r_over_r) \
+        - nu.nu_z_r_over_r * uz_zz \
+        + nu.nu_z_zz * dg.z \
+        - nu.nu_r_rr * uz_r_over_r
+    return out + cross
 
 
 def wall_psi_rr(psi: FieldGrid, mesh_r: "MeshMap") -> np.ndarray:

@@ -4,11 +4,11 @@ The basic filter is one damped-Jacobi-style pass per direction,
 
     f <- f + (c/4) (f_{i-1} + f_{i+1} - 2 f_i),
 
-applied first along rho, then along eta, with the same ghost policy as the
-derivative stencils.  The strength c(rho, eta) in [0, 1] is either uniform
-or the L-shaped product of soft cutoffs that covers the tail region of the
-solution (phase 2 of the adaptive mesh) while leaving the singular phase-1
-box and the far field untouched.
+applied first along rho, then along eta, on the ghost-padded rows the
+derivative stencils use (``fields._pad``).  The strength c(rho, eta) in
+[0, 1] is either uniform or the L-shaped product of soft cutoffs that
+covers the tail region of the solution (phase 2 of the adaptive mesh)
+while leaving the singular phase-1 box and the far field untouched.
 
 The re-meshed variant interpolates the field onto a coarser mesh adapted
 to the *current* solution, filters k times there, and interpolates back;
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import meshmap as mm
-from .fields import FieldGrid, wall_ghost
+from .fields import FieldGrid, _pad
 from .physics import soft_cutoff
 
 
@@ -71,37 +71,14 @@ def lpf(f: FieldGrid, c, mesh_r: mm.MeshMap, mesh_z: mm.MeshMap) -> FieldGrid:
     """One low-pass filtering sweep (rho pass then eta pass).
 
     ``c`` may be a scalar, a nodal array, or a strength object.  Ghost
-    values come from the field's declared parity; the wall row uses the
-    cubic extrapolation ghost.
+    rows come from ``fields._pad``, as for the derivative stencils.
     """
-    v = f.values
     cg = _strength_grid(c, mesh_r.nodes_s, mesh_z.nodes_s)
     quarter = 0.25 * cg
-
-    # rho pass
-    second = np.empty_like(v)
-    second[1:-1] = v[2:] + v[:-2] - 2.0 * v[1:-1]
-    if f.parity_r == "even":
-        second[0] = 2.0 * (v[1] - v[0])
-    elif f.parity_r == "odd":
-        second[0] = -2.0 * v[0]
-    else:
-        second[0] = 0.0
-    second[-1] = wall_ghost(v) + v[-2] - 2.0 * v[-1]
-    mid = v + quarter * second
-
-    # eta pass
-    second = np.empty_like(mid)
-    second[:, 1:-1] = mid[:, 2:] + mid[:, :-2] - 2.0 * mid[:, 1:-1]
-    if f.parity_z == "even":
-        second[:, 0] = 2.0 * (mid[:, 1] - mid[:, 0])
-        second[:, -1] = 2.0 * (mid[:, -2] - mid[:, -1])
-    elif f.parity_z == "odd":
-        second[:, 0] = -2.0 * mid[:, 0]
-        second[:, -1] = -2.0 * mid[:, -1]
-    else:
-        second[:, 0] = 0.0
-        second[:, -1] = 0.0
+    p = _pad(f.values, 0, f.parity_r, None)
+    mid = f.values + quarter * (p[2:] + p[:-2] - 2.0 * p[1:-1])
+    p = _pad(mid, 1, f.parity_z, f.parity_z)
+    second = np.moveaxis(p[2:] + p[:-2] - 2.0 * p[1:-1], 0, 1)
     return f.like(mid + quarter * second)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProfile, NonPositiveDensity, OutOfDomain
+from .fields import _pad
 
 DEFAULT_B = 60
 
@@ -315,14 +316,9 @@ def profile_features(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap) -> Profil
     R = float(mesh_r.value(rho))
     Z = float(mesh_z.value(eta))
 
-    # u1_r on the peak row: centered differences with an even ghost at rho=0
-    # and a one-sided closure at rho=1.
-    row = u1[:, j0]
-    dr = np.empty_like(row)
-    dr[1:-1] = (row[2:] - row[:-2]) / (2.0 * mesh_r.h)
-    dr[0] = 0.0
-    dr[-1] = (3.0 * row[-1] - 4.0 * row[-2] + row[-3]) / (2.0 * mesh_r.h)
-    u1_r = dr / mesh_r.nodes_dy
+    # u1_r on the peak row: centered differences on the even, walled padding.
+    p = _pad(u1[:, j0], 0, "even", None)
+    u1_r = (p[2:] - p[:-2]) / (2.0 * mesh_r.h) / mesh_r.nodes_dy
 
     ir = int(np.argmax(u1_r))
     rho_r = mesh_r.nodes_s[ir]

@@ -181,12 +181,9 @@ class NuFields:
     nu_r_r: np.ndarray | float = 0.0
     nu_r_z: np.ndarray | float = 0.0
     nu_r_rr: np.ndarray | float = 0.0
-    nu_r_rz_over_r: np.ndarray | float = 0.0
     nu_r_r_over_r: np.ndarray | float = 0.0
-    nu_z_r: np.ndarray | float = 0.0
     nu_z_z: np.ndarray | float = 0.0
     nu_z_zz: np.ndarray | float = 0.0
-    nu_z_rz_over_r: np.ndarray | float = 0.0
     nu_z_r_over_r: np.ndarray | float = 0.0
 
     def max_values(self):
@@ -234,7 +231,7 @@ def nu_eval(spec: DiffusionSpec, r, z, omega_theta_max: float | None = None) -> 
     z = np.asarray(z, dtype=float)[None, :]
     tdp = spec.tdp_scale / omega_theta_max
     vr_r, vr_r_d1, vr_r_d2, vr_r_ratio = _radial_part(r, *_RAD["nu_r"])
-    vz_r, vz_r_d1, _, vz_r_ratio = _radial_part(r, *_RAD["nu_z"])
+    vz_r, _, _, vz_r_ratio = _radial_part(r, *_RAD["nu_z"])
     vr_z, vr_z_d1, _ = _axial_part(z, *_AX["nu_r"])
     vz_z, vz_z_d1, vz_z_d2 = _axial_part(z, *_AX["nu_z"])
     return NuFields(
@@ -243,12 +240,9 @@ def nu_eval(spec: DiffusionSpec, r, z, omega_theta_max: float | None = None) -> 
         nu_r_r=vr_r_d1,
         nu_r_z=vr_z_d1,
         nu_r_rr=vr_r_d2,
-        nu_r_rz_over_r=0.0,
         nu_r_r_over_r=vr_r_ratio,
-        nu_z_r=vz_r_d1,
         nu_z_z=vz_z_d1,
         nu_z_zz=vz_z_d2,
-        nu_z_rz_over_r=0.0,
         nu_z_r_over_r=vz_r_ratio,
     )
 

@@ -39,10 +39,14 @@ def write_checkpoint(path, t: float, case: int, u1: FieldGrid, w1: FieldGrid,
         "end_mesh",
         "data:",
     ]
-    with open(path, "wb") as fh:
+    # Written under a temporary name and renamed, so an interrupted write
+    # never leaves a truncated file under the final name.
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode())
         fh.write(np.ascontiguousarray(u1.values, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(w1.values, dtype="<f8").tobytes())
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -79,7 +83,10 @@ def read_checkpoint(path) -> Checkpoint:
     mesh_r = mm.parse_mesh(mesh_texts[0])
     mesh_z = mm.parse_mesh(mesh_texts[1])
     count = (n + 1) * (m + 1)
-    flat = np.frombuffer(rest, dtype="<f8", count=2 * count)
+    if len(rest) != 16 * count:
+        raise ValueError(f"{path}: checkpoint payload has {len(rest)} bytes, "
+                         f"expected {16 * count} for two {n + 1}x{m + 1} float64 fields")
+    flat = np.frombuffer(rest, dtype="<f8")
     u1 = FieldGrid(flat[:count].reshape(n + 1, m + 1).copy(), "even", "odd")
     w1 = FieldGrid(flat[count:].reshape(n + 1, m + 1).copy(), "even", "odd")
     return Checkpoint(float(meta["t"]), int(meta["case"]), u1, w1, mesh_r, mesh_z)

@@ -30,7 +30,7 @@ from . import meshmap as mm
 from . import physics as ph
 from . import poisson as ps
 from . import runio
-from .errors import DegenerateProfile, NonFinite, NonPositiveDensity
+from .errors import DegenerateProfile, NonFinite, NonPositiveDensity, SolveFailure
 from .fields import FieldGrid
 
 VELOCITY_FLOOR = 1e-30
@@ -141,17 +141,16 @@ def rhs(u1: FieldGrid, w1: FieldGrid, state: SolutionState, spec: ph.DiffusionSp
     g = FieldGrid(-psi_z.values, "even", "even")
     nu = ph.nu_eval(spec, mesh_r.nodes_y, mesh_z.nodes_y, omega_max)
 
-    u1f_r = fd.ddr(u1f, mesh_r)
-    u1f_z = fd.ddz(u1f, mesh_z)
-    w1f_r = fd.ddr(w1f, mesh_r)
-    w1f_z = fd.ddz(w1f, mesh_z)
+    # one set of derivatives per field serves advection and diffusion
+    du1 = fd.derivatives(u1f, mesh_r, mesh_z)
+    dw1 = fd.derivatives(w1f, mesh_r, mesh_z)
 
-    du = (-(ur.values * u1f_r.values + uz.values * u1f_z.values)
+    du = (-(ur.values * du1.r + uz.values * du1.z)
           + 2.0 * u1f.values * psi_z.values
-          + fd.diffusion_u1(u1f, nu, mesh_r, mesh_z).values)
-    dw = (-(ur.values * w1f_r.values + uz.values * w1f_z.values)
-          + 2.0 * u1f.values * u1f_z.values
-          + fd.diffusion_w1(w1f, g, uz, nu, mesh_r, mesh_z).values)
+          + fd.diffusion_u1_from(u1f, du1, nu, mesh_r))
+    dw = (-(ur.values * dw1.r + uz.values * dw1.z)
+          + 2.0 * u1f.values * du1.z
+          + fd.diffusion_w1_from(w1f, dw1, g, uz, nu, mesh_r, mesh_z))
     aux = Aux(psi, psi_r, psi_z, ur, uz, g, nu, u1f, w1f)
     return du, dw, aux
 
@@ -279,7 +278,9 @@ def make_record(state: SolutionState, aux: Aux, dt: float, mesh_updated: bool) -
     """Assemble one diagnostics row from a state and its derived fields."""
     mesh_r, mesh_z = state.mesh_r, state.mesh_z
     u1, w1 = state.u1, state.w1
-    wth, wr_, wz_, wvec = dg.vorticity_sup_norms(u1, w1, mesh_r, mesh_z)
+    u1_r = fd.ddr(u1, mesh_r).values
+    u1_z = fd.ddz(u1, mesh_z).values
+    wth, wr_, wz_, wvec = dg.sup_norms(*dg.vorticity_from(u1, w1, u1_r, u1_z, mesh_r))
     R, Z, upeak = dg.max_location(u1, mesh_r, mesh_z)
     i, j = np.unravel_index(int(np.argmax(u1.values)), u1.values.shape)
     u_at_peak = u1.values[i, j]
@@ -288,8 +289,6 @@ def make_record(state: SolutionState, aux: Aux, dt: float, mesh_updated: bool) -
     gamma_max = float((mesh_r.nodes_y[:, None] ** 2 * u1.values).max())
     me_r_u, me_e_u = dg.mesh_effectiveness(u1, mesh_r, mesh_z)
     me_r_w, me_e_w = dg.mesh_effectiveness(w1, mesh_r, mesh_z)
-    u1_r = fd.ddr(u1, mesh_r).values
-    u1_z = fd.ddz(u1, mesh_z).values
     return dg.DiagnosticsRecord(
         t=state.t,
         u1_max=float(np.abs(u1.values).max()),
@@ -428,13 +427,16 @@ def run(cfg: RunConfig, progress=None) -> RunResult:
     except (DegenerateProfile, NonPositiveDensity):
         reason = "mesh-failure"
 
-    if reason != "completed" or not records or records[-1].t < state.t:
+    final_error = None
+    if not records or records[-1].t < state.t:
         try:
             _, _, aux_fin = rhs(state.u1, state.w1, state, spec, cfg,
                                 omega_theta_sup(state.w1, state.mesh_r), counters)
             emit_record(aux_fin, 0.0, False)
-        except Exception:
-            pass
+        except (NonFinite, SolveFailure, DegenerateProfile, NonPositiveDensity) as exc:
+            # the state that halted the loop can fail again in rhs (rlpf
+            # re-derives the same mesh targets); log it, keep the artifacts
+            final_error = f"{type(exc).__name__}: {exc}"
     emit_checkpoint()
 
     if out:
@@ -455,6 +457,8 @@ def run(cfg: RunConfig, progress=None) -> RunResult:
             "mu": runio.fmt(cfg.mu) if cfg.case == 2 else "n/a",
             "rlpf_k": cfg.rlpf_k,
         }
+        if final_error:
+            entries["final_record_error"] = final_error
         entries.update({k: v for k, v in sorted(counters.items())})
         runio.write_manifest(out, entries, files)
         writer.close()

@@ -95,7 +95,9 @@ class TestCriterion2Kernels:
                 + sym.diff(nu_r, rs) / rs * u
                 + sym.diff(nu_r, rs) * sym.diff(u, rs)
                 + sym.diff(nu_z, zs) * sym.diff(u, zs))
-        oracle = sym.lambdify((rs, zs), sym.simplify(expr), "numpy")
+        # The unsimplified expression lambdifies in milliseconds; simplify
+        # alone took longer than the time bound below.
+        oracle = sym.lambdify((rs, zs), expr, "numpy")
         ufun = sym.lambdify((rs, zs), u, "numpy")
         errs = []
         for n in (96, 192):

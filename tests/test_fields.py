@@ -5,6 +5,7 @@ import pytest
 import sympy as sym
 
 from axiblow import fields as fd
+from axiblow import filters as fl
 from axiblow import physics as ph
 from axiblow.fields import FieldGrid
 
@@ -88,6 +89,53 @@ class TestDerivatives:
         assert fd.ddz(f, mesh_z).parity_z == "even"
         assert fd.d2dr2(f, mesh_r).parity_r == "even"
         assert fd.d2dz2(f, mesh_z).parity_z == "odd"
+
+
+# Ghost row beyond an end, from the rows nearest it (e[0] is the end row).
+GHOST = {
+    "even": lambda e: e[1],
+    "odd": lambda e: -e[1],
+    None: lambda e: 4.0 * e[0] - 6.0 * e[1] + 4.0 * e[2] - e[3],
+}
+
+
+class TestGhostLayer:
+    @pytest.mark.parametrize("parity", ["even", "odd", None])
+    @pytest.mark.parametrize("axis", ["r", "z"])
+    def test_end_rows_use_the_ghost_stencils(self, axis, parity):
+        # A field varying along one axis only, even along the other, so
+        # every end row of the derivatives and of one lpf pass is the
+        # centered stencil closed by that end's ghost.
+        mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
+        rng = np.random.default_rng(5)
+        if axis == "r":
+            line = rng.standard_normal(17)
+            f = FieldGrid(np.repeat(line[:, None], 9, axis=1), parity, "even")
+            d1 = fd.ddr(f, mesh_r).values[:, 0]
+            d2 = fd.d2dr2(f, mesh_r).values[:, 0]
+            mesh, ends = mesh_r, (parity, None)  # rho = 1 is the wall
+        else:
+            line = rng.standard_normal(9)
+            f = FieldGrid(np.repeat(line[None, :], 17, axis=0), "even", parity)
+            d1 = fd.ddz(f, mesh_z).values[0]
+            d2 = fd.d2dz2(f, mesh_z).values[0]
+            mesh, ends = mesh_z, (parity, parity)
+        smooth = fl.lpf(f, 1.0, mesh_r, mesh_z).values
+        smooth = smooth[:, 0] if axis == "r" else smooth[0]
+        h = mesh.h
+        for k, e, end_parity, sign in ((0, line, ends[0], 1.0), (-1, line[::-1], ends[1], -1.0)):
+            g = GHOST[end_parity](e)
+            dy, d2y = mesh.nodes_dy[k], mesh.nodes_d2y[k]
+            raw1 = sign * (e[1] - g) / (2.0 * h)
+            raw2 = (e[1] - 2.0 * e[0] + g) / h**2
+            assert d1[k] == pytest.approx(raw1 / dy, rel=1e-12)
+            assert d2[k] == pytest.approx(raw2 / dy**2 - d2y * raw1 / dy**3, rel=1e-12)
+            assert smooth[k] == pytest.approx(e[0] + 0.25 * (e[1] + g - 2.0 * e[0]), rel=1e-12)
+        # parity ends close the first difference exactly as the mirror says
+        if parity == "even":
+            assert d1[0] == 0.0
+        elif parity == "odd":
+            assert d1[0] == line[1] / h / mesh.nodes_dy[0]
 
 
 class TestVelocityRecovery:

@@ -12,6 +12,7 @@ from axiblow import physics as ph
 from axiblow import poisson as ps
 from axiblow import runio
 from axiblow import stepper as st
+from axiblow.errors import DegenerateProfile, SolveFailure
 from axiblow.fields import FieldGrid
 
 from conftest import identity_mesh_r, identity_mesh_z
@@ -129,6 +130,34 @@ class TestRhs:
         assert errs[0] / errs[1] > 3.0
 
 
+    def test_shared_derivatives_match_public_kernels(self):
+        # rhs computes each derivative of the filtered fields once and
+        # shares it; the tendencies must equal the public kernels bit for bit.
+        cfg = st.RunConfig(case=1, n=64, m=32)
+        state = st.build_initial_state(cfg)
+        mesh_r, mesh_z = state.mesh_r, state.mesh_z
+        du, dw, aux = st.rhs(state.u1, state.w1, state, ph.spec_for_case(1), cfg,
+                             st.omega_theta_sup(state.w1, mesh_r))
+        for f in (aux.u1f, aux.w1f):
+            d = fd.derivatives(f, mesh_r, mesh_z)
+            assert np.array_equal(d.r, fd.ddr(f, mesh_r).values)
+            assert np.array_equal(d.rr, fd.d2dr2(f, mesh_r).values)
+            assert np.array_equal(d.z, fd.ddz(f, mesh_z).values)
+            assert np.array_equal(d.zz, fd.d2dz2(f, mesh_z).values)
+        ur, uz = aux.ur.values, aux.uz.values
+        u1f_z = fd.ddz(aux.u1f, mesh_z).values
+        expect_du = (-(ur * fd.ddr(aux.u1f, mesh_r).values + uz * u1f_z)
+                     + 2.0 * aux.u1f.values * aux.psi_z.values
+                     + fd.diffusion_u1(aux.u1f, aux.nu, mesh_r, mesh_z).values)
+        expect_dw = (-(ur * fd.ddr(aux.w1f, mesh_r).values
+                       + uz * fd.ddz(aux.w1f, mesh_z).values)
+                     + 2.0 * aux.u1f.values * u1f_z
+                     + fd.diffusion_w1(aux.w1f, aux.g, aux.uz, aux.nu,
+                                       mesh_r, mesh_z).values)
+        assert np.array_equal(du, expect_du)
+        assert np.array_equal(dw, expect_dw)
+
+
 class TestStepRK2:
     def test_zero_state_stays_zero(self):
         state = small_state()
@@ -220,6 +249,71 @@ class TestRunLoop:
         res = st.run(cfg)
         assert res.reason == "completed"
 
+    def test_max_steps_on_cadence_records_each_time_once(self):
+        # The last step lands on the diag cadence, so its record is final.
+        cfg = st.RunConfig(case=1, n=64, m=32, t_end=1.0, max_steps=4, diag_every=2)
+        res = st.run(cfg)
+        assert res.reason == "max-steps"
+        times = [r.t for r in res.records]
+        assert all(b > a for a, b in zip(times, times[1:]))
+        assert times[-1] == res.state.t
+
+    @pytest.mark.parametrize("error", [SolveFailure("singular"), RuntimeError("bug")])
+    def test_final_record_error(self, tmp_path, monkeypatch, error):
+        # One step off the cadence and no mesh rebuild: rhs calls 1-3 are the
+        # initial record and the Heun stages, call 4 is the final record.
+        calls = []
+        real_rhs = st.rhs
+
+        def failing_rhs(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise error
+            return real_rhs(*args, **kwargs)
+
+        monkeypatch.setattr(st, "rhs", failing_rhs)
+        monkeypatch.setattr(mm, "needs_update", lambda *args: (False, ""))
+        cfg = st.RunConfig(case=1, n=64, m=32, t_end=1.0, max_steps=1, diag_every=2,
+                           out_dir=str(tmp_path))
+        if isinstance(error, SolveFailure):
+            res = st.run(cfg)
+            assert len(calls) == 4
+            assert [r.t for r in res.records] == [0.0]
+            manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+            assert "final_record_error: SolveFailure: singular" in manifest
+        else:
+            with pytest.raises(RuntimeError, match="bug"):
+                st.run(cfg)
+
+    def test_case4_mesh_failure_keeps_artifacts(self, tmp_path, monkeypatch):
+        # The second rebuild fails to derive targets. The final record's rhs
+        # re-derives them in rlpf on the same state and fails again; the run
+        # still halts as a mesh failure and writes its manifest.
+        real_targets, real_rebuild = mm.derive_targets, st.rebuild_meshes
+        rebuilds = []
+
+        def derive_targets(*args):
+            if len(rebuilds) >= 2:
+                raise DegenerateProfile("no front")
+            return real_targets(*args)
+
+        def rebuild_meshes(state, cfg):
+            rebuilds.append(1)
+            return real_rebuild(state, cfg)
+
+        monkeypatch.setattr(mm, "derive_targets", derive_targets)
+        monkeypatch.setattr(st, "rebuild_meshes", rebuild_meshes)
+        monkeypatch.setattr(mm, "needs_update", lambda *args: (True, "points_r"))
+        cfg = st.RunConfig(case=4, rlpf_k=5, n=64, m=32, t_end=1.0, max_steps=5,
+                           out_dir=str(tmp_path))
+        res = st.run(cfg)
+        assert res.reason == "mesh-failure"
+        assert res.steps == 2 and len(rebuilds) == 2
+        assert res.records[-1].t < res.state.t
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "reason: mesh-failure" in manifest
+        assert "final_record_error: DegenerateProfile: no front" in manifest
+
     def test_case4_counts_rlpf(self):
         cfg = st.RunConfig(case=4, rlpf_k=5, n=128, m=64, t_end=3e-7)
         res = st.run(cfg)
@@ -228,6 +322,20 @@ class TestRunLoop:
 
 
 class TestCheckpointRoundTrip:
+    def test_truncated_file_names_path_and_sizes(self, tmp_path):
+        state = small_state(16, 8)
+        path = tmp_path / "state.bin"
+        runio.write_checkpoint(path, 0.0, 1, state.u1, state.w1,
+                               state.mesh_r, state.mesh_z)
+        assert os.listdir(tmp_path) == ["state.bin"]
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-100])
+        expected = 2 * 17 * 9 * 8
+        with pytest.raises(ValueError,
+                           match=f"state.bin: checkpoint payload has {expected - 100} "
+                                 f"bytes, expected {expected}"):
+            runio.read_checkpoint(path)
+
     def test_bit_exact(self, tmp_path):
         cfg = st.RunConfig(case=1, n=128, m=64, t_end=2e-7)
         res = st.run(cfg)
