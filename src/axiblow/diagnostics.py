@@ -45,6 +45,7 @@ class DiagnosticsRecord:
     me_eta_w1: float
     dt: float
     mesh_updated: int
+    poisson_residual: float  # ||A c - f|| / ||f|| of the record's own solve
 
     @classmethod
     def header(cls):

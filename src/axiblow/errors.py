@@ -14,7 +14,7 @@ class OutOfDomain(ValueError):
 
 
 class AssemblyFailure(RuntimeError):
-    """Galerkin stiffness matrix failed the SPD factorization check."""
+    """Galerkin operator is not SPD: the eta pencil or a rho mode system."""
 
 
 class SolveFailure(RuntimeError):

@@ -8,25 +8,28 @@ form: find psi in V_h with
 
 for all phi in V_h.  V_h is a tensor product of uniform B-splines of even
 order k, symmetrized to be even at rho = 0 and odd at both eta ends, and
-multiplied in rho by the weight w(rho) = (1 - rho)^2 that enforces the
+multiplied in rho by the weight w(rho) = (1 - rho)^p that enforces the
 no-flow wall value.  The r^3 measure absorbs the 3/r first-order term, so
 the stiffness matrix is symmetric positive definite and Kronecker
 separable,
 
     A = K_rho (x) M_eta + M_rho (x) K_eta,
 
-which keeps assembly one-dimensional.  Loads use the nodal omega
-interpolated bilinearly on the quadrature cells; with per-cell tensors
-precomputed at assembly the per-solve load collapses to shifted array
-products, and the sparse factorization is cached so repeated solves on an
-unchanged mesh only do triangular substitutions.
+with four banded 1-D matrices.  A is never formed.  It is solved by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199):
+once per mesh pair, the eta pencil K_eta V = M_eta V diag(lam) is solved
+densely and every rho system K_rho + lam_j M_rho is band-factored.  A
+solve is then the load in modal form F V, one forward and one back band
+sweep acting on all modes at once, and the nodal evaluation.  The load
+F = L_rho^T W L_eta integrates the bilinear interpolant of the nodal
+omega W against the basis.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import AssemblyFailure, SolveFailure
 from .fields import FieldGrid
@@ -114,14 +117,12 @@ class _EtaBasis:
 WALL_WEIGHT_POWER = 1
 
 
-def _weight(rho, power=None):
-    p = WALL_WEIGHT_POWER if power is None else power
-    return (1.0 - rho) ** p
+def _weight(rho):
+    return (1.0 - rho) ** WALL_WEIGHT_POWER
 
 
-def _weight_deriv(rho, power=None):
-    p = WALL_WEIGHT_POWER if power is None else power
-    return -p * (1.0 - rho) ** (p - 1)
+def _weight_deriv(rho):
+    return -WALL_WEIGHT_POWER * (1.0 - rho) ** (WALL_WEIGHT_POWER - 1)
 
 
 def _cell_quadrature(ncells: int):
@@ -133,7 +134,7 @@ def _cell_quadrature(ncells: int):
     return xg, wg
 
 
-def _basis_tables(basis, xg, weighted=False, weight_power=None):
+def _basis_tables(basis, xg, weighted=False):
     """Evaluate candidate splines i = cell - k + 1 + l on every cell.
 
     Returns (cand, vals, dvals): cand[a] is the first candidate index of
@@ -144,48 +145,42 @@ def _basis_tables(basis, xg, weighted=False, weight_power=None):
     ncells = xg.shape[0]
     cand = np.arange(ncells) - k + 1
     vals, dvals = [], []
-    w = _weight(xg, weight_power) if weighted else None
-    dw = _weight_deriv(xg, weight_power) if weighted else None
+    w = _weight(xg) if weighted else 1.0
+    dw = _weight_deriv(xg) if weighted else 0.0
     for l in range(2 * k):
         i = (cand + l)[:, None]
         b = basis.value(i, xg)
-        db = basis.deriv(i, xg)
-        if weighted:
-            vals.append(w * b)
-            dvals.append(dw * b + w * db)
-        else:
-            vals.append(b)
-            dvals.append(db)
+        vals.append(w * b)
+        dvals.append(dw * b + w * basis.deriv(i, xg))
     return cand, vals, dvals
 
 
-def _band_matrix(basis, cand, vals_a, vals_b, weight):
-    """sum_cells int (f_a)_i (f_b)_i' d(quad) as a sparse banded matrix."""
-    base, count = basis.index_base, basis.count
+def _cell_matrix(first_a, count_a, vals_a, first_b, count_b, vals_b, weight):
+    """sum_cells int (f_a)_i (f_b)_i' d(quad) as a sparse (count_a, count_b) matrix.
+
+    vals_a[l] on cell c belongs to index first_a[c] + l; out-of-range ones drop.
+    """
     rows, cols, data = [], [], []
-    width = len(vals_a)
-    for l1 in range(width):
-        i1 = cand + l1 - base
-        ok1 = (i1 >= 0) & (i1 < count)
-        for l2 in range(width):
-            i2 = cand + l2 - base
-            ok = ok1 & (i2 >= 0) & (i2 < count)
-            if not np.any(ok):
-                continue
-            entry = (weight * vals_a[l1] * vals_b[l2]).sum(axis=1)
+    for l1, va in enumerate(vals_a):
+        i1 = first_a + l1
+        ok1 = (i1 >= 0) & (i1 < count_a)
+        for l2, vb in enumerate(vals_b):
+            i2 = first_b + l2
+            ok = ok1 & (i2 >= 0) & (i2 < count_b)
+            entry = (weight * va * vb).sum(axis=1)
             rows.append(i1[ok])
             cols.append(i2[ok])
             data.append(entry[ok])
     return sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(count, count)).tocsr()
+        shape=(count_a, count_b)).tocsr()
 
 
-def _eval_matrix(basis, nodes, weighted=False, weight_power=None):
+def _eval_matrix(basis, nodes, weighted=False):
     """Sparse nodal evaluation operator E[node, basis] (storage 0-based)."""
     k, base, count = basis.k, basis.index_base, basis.count
     npts = len(nodes)
-    wt = _weight(nodes, weight_power) if weighted else 1.0
+    wt = _weight(nodes) if weighted else 1.0
     rows, cols, data = [], [], []
     for off in range(-k, k + 1):
         i = np.arange(npts) + off
@@ -201,22 +196,19 @@ def _eval_matrix(basis, nodes, weighted=False, weight_power=None):
 
 
 class GalerkinSystem:
-    """Assembled and factorized Poisson operator for one mesh pair."""
+    """Fast-diagonalization Poisson operator for one mesh pair."""
 
     assembly_count = 0  # class-wide; lets tests confirm factorization reuse
 
-    def __init__(self, mesh_r: MeshMap, mesh_z: MeshMap, k: int = 2, quad_points: int = 6,
-                 weight_power: int | None = None):
-        if quad_points != 6:
-            raise ValueError("composite rule is fixed at 6 Gauss points per cell")
+    def __init__(self, mesh_r: MeshMap, mesh_z: MeshMap, k: int = 2):
         if k % 2 != 0 or k < 2:
             raise ValueError("spline order k must be even and >= 2")
         GalerkinSystem.assembly_count += 1
         self.mesh_r, self.mesh_z, self.k = mesh_r, mesh_z, k
-        self.weight_power = WALL_WEIGHT_POWER if weight_power is None else weight_power
         n, m = mesh_r.n, mesh_z.n
         self._rb = _RhoBasis(k, n)
         self._eb = _EtaBasis(k, m)
+        nb_r, nb_z = self._rb.count, self._eb.count
 
         xg_r, wg_r = _cell_quadrature(n)
         xg_z, wg_z = _cell_quadrature(m)
@@ -224,66 +216,68 @@ class GalerkinSystem:
         r_rho = mesh_r.deriv(xg_r)
         z_eta = mesh_z.deriv(xg_z)
 
-        cand_r, val_r, dval_r = _basis_tables(self._rb, xg_r, weighted=True,
-                                              weight_power=self.weight_power)
+        cand_r, val_r, dval_r = _basis_tables(self._rb, xg_r, weighted=True)
         cand_z, val_z, dval_z = _basis_tables(self._eb, xg_z)
+        first_r, first_z = cand_r - self._rb.index_base, cand_z - self._eb.index_base
 
-        K_rho = _band_matrix(self._rb, cand_r, dval_r, dval_r, wg_r * r**3 / r_rho)
-        M_rho = _band_matrix(self._rb, cand_r, val_r, val_r, wg_r * r**3 * r_rho)
-        K_eta = _band_matrix(self._eb, cand_z, dval_z, dval_z, wg_z / z_eta)
-        M_eta = _band_matrix(self._eb, cand_z, val_z, val_z, wg_z * z_eta)
+        def band(first, count, vals_a, vals_b, weight):
+            return _cell_matrix(first, count, vals_a, first, count, vals_b, weight)
 
-        A = (sp.kron(K_rho, M_eta) + sp.kron(M_rho, K_eta)).tocsc()
-        defect = abs(A - A.T)
-        self.symmetry_defect = float(defect.max()) if defect.nnz else 0.0
-        self.matrix = A
-        try:
-            self._lu = splu(A, diag_pivot_thresh=0.0,
-                            permc_spec="MMD_AT_PLUS_A",
-                            options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise AssemblyFailure(f"sparse factorization failed: {exc}") from exc
-        if np.any(self._lu.U.diagonal() <= 0.0):
-            raise AssemblyFailure("stiffness matrix is not positive definite")
+        self.K_rho = band(first_r, nb_r, dval_r, dval_r, wg_r * r**3 / r_rho)
+        self.M_rho = band(first_r, nb_r, val_r, val_r, wg_r * r**3 * r_rho)
+        self.K_eta = band(first_z, nb_z, dval_z, dval_z, wg_z / z_eta)
+        self.M_eta = band(first_z, nb_z, val_z, val_z, wg_z * z_eta)
+        self.symmetry_defect = max(float(abs(a - a.T).max())
+                                   for a in (self.K_rho, self.M_rho, self.K_eta, self.M_eta))
 
-        # Per-cell load tensors against the bilinear nodal interpolant:
-        # T[cell, node-side, candidate] = int hat * basis * metric.
+        # Load operators against the bilinear nodal interpolant of omega:
+        # L[node, i] = int hat_node * basis_i * metric, so F = L_r^T W L_e.
         lam_r = (xg_r - np.arange(n)[:, None] / n) * n   # local coord in [0, 1]
         lam_z = (xg_z - np.arange(m)[:, None] / m) * m
-        hat_r = (1.0 - lam_r, lam_r)
-        hat_z = (1.0 - lam_z, lam_z)
-        self._T_rho = np.stack([
-            np.stack([(wg_r * r**3 * r_rho * hat_r[p] * val_r[l]).sum(axis=1)
-                      for l in range(2 * k)], axis=1)
-            for p in range(2)], axis=1)              # (n, 2, 2k)
-        self._T_eta = np.stack([
-            np.stack([(wg_z * z_eta * hat_z[u] * val_z[l]).sum(axis=1)
-                      for l in range(2 * k)], axis=1)
-            for u in range(2)], axis=1)              # (m, 2, 2k)
+        self._L_rT = _cell_matrix(first_r, nb_r, val_r, np.arange(n), n + 1,
+                                  (1.0 - lam_r, lam_r), wg_r * r**3 * r_rho)
+        self._L_e = _cell_matrix(np.arange(m), m + 1, (1.0 - lam_z, lam_z),
+                                 first_z, nb_z, val_z, wg_z * z_eta)
 
-        self._E_rho = _eval_matrix(self._rb, mesh_r.nodes_s, weighted=True,
-                                   weight_power=self.weight_power)
-        self._E_eta = _eval_matrix(self._eb, mesh_z.nodes_s)
+        # K_eta V = M_eta V diag(lam) with V^T M_eta V = I turns A c = f
+        # into one rho system (K_rho + lam_j M_rho) d_j = (F V)_j per mode.
+        try:
+            lam, V = scipy.linalg.eigh(self.K_eta.toarray(), self.M_eta.toarray())
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyFailure(f"eta pencil (K_eta, M_eta) is not definite: {exc}") from exc
+        self._V = V
+        self._LeV = self._L_e @ V
+        self._EeV = _eval_matrix(self._eb, mesh_z.nodes_s) @ V
+        self._E_rho = _eval_matrix(self._rb, mesh_r.nodes_s, weighted=True)
+        self._factor_rho(lam)
 
-    def load_array(self, w1: np.ndarray) -> np.ndarray:
-        """f(B_i B_j) for bilinearly interpolated nodal omega, shape (nb_r, nb_z).
+    def _factor_rho(self, lam):
+        """Root-free band Cholesky L D L^T of every rho system, all modes at once.
 
-        Candidate i = a - k + 1 + l lives at padded row a + l, so every
-        (p, u, l1, l2) combination is one shifted array product.
+        Half-bandwidth b = k - 1; _L[s - 1, i, j] = L[i, i - s] of mode j.
         """
-        n, m, k = self.mesh_r.n, self.mesh_z.n, self.k
-        width = 2 * k
-        F = np.zeros((n + width - 1, m + width - 1))
-        for p in range(2):
-            for u in range(2):
-                W = w1[p:n + p, u:m + u]
-                for l1 in range(width):
-                    col = self._T_rho[:, p, l1][:, None]
-                    for l2 in range(width):
-                        F[l1:l1 + n, l2:l2 + m] += W * (col * self._T_eta[:, u, l2][None, :])
-        # basis index i sits at padded row i + (k-1); eta storage j-1 adds one
-        nb_r, nb_z = self._rb.count, self._eb.count
-        return F[k - 1:k - 1 + nb_r, k:k + nb_z]
+        b, nb_r = self.k - 1, self._rb.count
+        S = np.zeros((b + 1, nb_r, len(lam)))
+        for s in range(b + 1):
+            S[s, s:] = (self.K_rho.diagonal(-s)[:, None]
+                        + self.M_rho.diagonal(-s)[:, None] * lam[None, :])
+        L = np.zeros((b, nb_r, len(lam)))
+        D = np.empty((nb_r, len(lam)))
+        for i in range(nb_r):
+            for q in range(min(b, i), 0, -1):
+                u = S[q, i].copy()
+                for s in range(q + 1, min(b, i) + 1):
+                    u -= L[s - 1, i] * D[i - s] * L[s - q - 1, i - q]
+                L[q - 1, i] = u / D[i - q]
+            D[i] = S[0, i]
+            for s in range(1, min(b, i) + 1):
+                D[i] -= L[s - 1, i] ** 2 * D[i - s]
+        bad = ~(D > 0.0)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise AssemblyFailure(f"rho system K_rho + lam_j M_rho of mode j = {j} is not "
+                                  f"positive definite (pivot {D[i, j]:.3e} at row {i})")
+        self._L, self._D_inv = L, 1.0 / D
 
     def solve(self, w1) -> FieldGrid:
         """Solve for psi given nodal omega (odd in z); returns nodal psi.
@@ -292,30 +286,36 @@ class GalerkinSystem:
         in z, zero on the wall r = 1 and on both axial symmetry rows.
         """
         w = w1.values if isinstance(w1, FieldGrid) else np.asarray(w1)
-        F = self.load_array(w)
-        try:
-            c = self._lu.solve(F.ravel())
-        except Exception as exc:  # pragma: no cover - solver-internal failure
-            raise SolveFailure(str(exc)) from exc
-        if not np.all(np.isfinite(c)):
+        H = self._L_rT @ w
+        Y = H @ self._LeV                       # load F V, one column per mode
+        b, L, nb_r = self.k - 1, self._L, self._rb.count
+        for i in range(1, nb_r):
+            for s in range(1, min(b, i) + 1):
+                Y[i] -= L[s - 1, i] * Y[i - s]
+        Y *= self._D_inv
+        for i in range(nb_r - 2, -1, -1):
+            for s in range(1, min(b, nb_r - 1 - i) + 1):
+                Y[i] -= L[s - 1, i + s] * Y[i + s]
+        if not np.all(np.isfinite(Y)):
             raise SolveFailure("linear solve produced non-finite coefficients")
-        self._last_coeffs = c
-        self._last_load = F
-        C = c.reshape(self._rb.count, self._eb.count)
-        psi = np.asarray((self._E_rho @ C) @ self._E_eta.T.toarray())
-        return FieldGrid(psi, "even", "odd")
+        self._last = (H, Y)
+        return FieldGrid((self._E_rho @ Y) @ self._EeV.T, "even", "odd")
+
+    def last_system(self):
+        """Coefficients C and load F of the most recent solve, each (nb_r, nb_z)."""
+        H, Y = self._last
+        return Y @ self._V.T, H @ self._L_e
 
     def last_residual(self) -> float:
-        """||A c - f|| of the most recent solve (Galerkin orthogonality)."""
-        r = self.matrix @ self._last_coeffs - self._last_load.ravel()
-        return float(np.linalg.norm(r))
+        """||A c - f|| / ||f|| of the most recent solve (0 for a zero load).
+
+        A c is the Kronecker matvec K_rho C M_eta + M_rho C K_eta.
+        """
+        C, F = self.last_system()
+        R = self.K_rho @ C @ self.M_eta + self.M_rho @ C @ self.K_eta - F
+        fnorm = np.linalg.norm(F)
+        return float(np.linalg.norm(R) / fnorm) if fnorm else 0.0
 
 
-def assemble(mesh_r: MeshMap, mesh_z: MeshMap, k: int = 2, quad_points: int = 6,
-             weight_power: int | None = None) -> GalerkinSystem:
-    return GalerkinSystem(mesh_r, mesh_z, k=k, quad_points=quad_points,
-                          weight_power=weight_power)
-
-
-def solve(system: GalerkinSystem, w1) -> FieldGrid:
-    return system.solve(w1)
+def assemble(mesh_r: MeshMap, mesh_z: MeshMap, k: int = 2) -> GalerkinSystem:
+    return GalerkinSystem(mesh_r, mesh_z, k=k)

@@ -309,6 +309,7 @@ def make_record(state: SolutionState, aux: Aux, dt: float, mesh_updated: bool) -
         me_rho_u1=me_r_u, me_eta_u1=me_e_u,
         me_rho_w1=me_r_w, me_eta_w1=me_e_w,
         dt=dt, mesh_updated=int(mesh_updated),
+        poisson_residual=state.system.last_residual(),
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from axiblow import meshmap as mm
 from axiblow import poisson as ps
+from axiblow.errors import AssemblyFailure
 from axiblow.fields import FieldGrid
 
 from conftest import gentle_mesh_r, gentle_mesh_z, identity_mesh_r, identity_mesh_z
@@ -115,14 +116,14 @@ class TestAssembly:
             grad_z = (phi1 * phi2 * r**3 * r_rho * wr)[:, None] * (dB1 * dB2 / z_eta * wz)[None, :]
             return float((grad_r + grad_z).sum())
 
-        nbz = eb.count
         rng = np.random.default_rng(11)
         for _ in range(3):
             i1, i2 = rng.integers(0, rb.count, 2)
             j1, j2 = rng.integers(1, eb.count + 1, 2)
-            row = i1 * nbz + (j1 - 1)
-            col = i2 * nbz + (j2 - 1)
-            got = sys_.matrix[row, col]
+            # A = K_rho (x) M_eta + M_rho (x) K_eta; eta storage is j - 1
+            e1, e2 = j1 - 1, j2 - 1
+            got = (sys_.K_rho[i1, i2] * sys_.M_eta[e1, e2]
+                   + sys_.M_rho[i1, i2] * sys_.K_eta[e1, e2])
             assert got == pytest.approx(a_entry(i1, j1, i2, j2), rel=1e-10, abs=1e-14)
 
     def test_assembly_counter_and_reuse(self):
@@ -169,8 +170,8 @@ class TestSolve:
         mesh_r, mesh_z = gentle_mesh_r(32), gentle_mesh_z(16)
         sys_ = ps.assemble(mesh_r, mesh_z)
         sys_.solve(manufactured_rhs(mesh_r, mesh_z))
-        fnorm = np.linalg.norm(sys_._last_load.ravel())
-        assert sys_.last_residual() < 1e-10 * fnorm
+        # last_residual is ||A c - f|| / ||f||
+        assert sys_.last_residual() < 1e-10
 
     def test_quartic_order_still_solves(self):
         # k = 4 assembles SPD and solves; without a boundary-extended
@@ -188,3 +189,88 @@ class TestSolve:
         w = FieldGrid(manufactured_rhs(mesh_r, mesh_z), "even", "odd")
         psi = sys_.solve(w)
         assert np.isfinite(psi.values).all()
+
+
+@pytest.fixture(scope="module")
+def initial_meshes():
+    """The adapted mesh pair and vorticity that a 64x32 run starts from."""
+    from axiblow import stepper as st
+    state = st.build_initial_state(st.RunConfig(n=64, m=32))
+    return state.mesh_r, state.mesh_z, state.w1.values
+
+
+class _FlippedMetric:
+    """A mesh map whose Jacobian has the wrong sign, so its 1-D matrices are
+    negative definite."""
+
+    def __init__(self, mesh):
+        self._mesh = mesh
+        self.n, self.nodes_s, self.value = mesh.n, mesh.nodes_s, mesh.value
+
+    def deriv(self, s):
+        return -self._mesh.deriv(s)
+
+
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("pair", ["gentle", "initial"])
+    def test_coefficients_match_dense_kronecker_solve(self, k, pair, initial_meshes):
+        # Independent path: the dense 2-D matrix built here from the four
+        # 1-D matrices and solved by LU, against the modal band sweeps.
+        if pair == "gentle":
+            mesh_r, mesh_z = gentle_mesh_r(24), gentle_mesh_z(12)
+            w = np.random.default_rng(8).standard_normal((25, 13))
+        else:
+            mesh_r, mesh_z, w = initial_meshes
+        sys_ = ps.assemble(mesh_r, mesh_z, k=k)
+        sys_.solve(w)
+        C, F = sys_.last_system()
+        A = (np.kron(sys_.K_rho.toarray(), sys_.M_eta.toarray())
+             + np.kron(sys_.M_rho.toarray(), sys_.K_eta.toarray()))
+        ref = np.linalg.solve(A, F.ravel()).reshape(C.shape)
+        assert np.abs(C - ref).max() < 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_residual_of_scaled_coefficients(self, k):
+        # c -> 1.5 c makes A c - f = 0.5 f up to the solve's own residual,
+        # so the Kronecker matvec must give a relative residual of 0.5.
+        sys_ = ps.assemble(gentle_mesh_r(24), gentle_mesh_z(12), k=k)
+        sys_.solve(np.random.default_rng(10).standard_normal((25, 13)))
+        load, modal = sys_._last
+        sys_._last = (load, 1.5 * modal)
+        assert sys_.last_residual() == pytest.approx(0.5, rel=1e-9)
+
+    def test_load_matches_flat_quadrature(self):
+        # F[i, j] = int omega_h B_i B_j r^3 r_rho z_eta with omega_h the
+        # bilinear interpolant, by flat 6-point quadrature on every cell.
+        mesh_r, mesh_z = gentle_mesh_r(12), gentle_mesh_z(6)
+        w = np.random.default_rng(9).standard_normal((13, 7))
+        sys_ = ps.assemble(mesh_r, mesh_z)
+        sys_.solve(w)
+        _, F = sys_.last_system()
+        gx, gw = np.polynomial.legendre.leggauss(6)
+
+        def axis(mesh):
+            h = 1.0 / mesh.n
+            x = (np.arange(mesh.n)[:, None] * h + 0.5 * h * (gx[None, :] + 1.0)).ravel()
+            hats = np.stack([np.interp(x, mesh.nodes_s, e) for e in np.eye(mesh.n + 1)], 1)
+            return x, np.tile(0.5 * h * gw, mesh.n), hats
+
+        xr, wr, hr = axis(mesh_r)
+        xz, wz, hz = axis(mesh_z)
+        rb, eb = ps._RhoBasis(2, mesh_r.n), ps._EtaBasis(2, mesh_z.n)
+        phi_r = np.stack([ps._weight(xr) * rb.value(i, xr) for i in range(rb.count)], 1)
+        phi_z = np.stack([eb.value(j, xz) for j in range(1, eb.count + 1)], 1)
+        omega = hr @ w @ hz.T
+        wr = wr * mesh_r.value(xr) ** 3 * mesh_r.deriv(xr)
+        wz = wz * mesh_z.deriv(xz)
+        ref = phi_r.T @ (wr[:, None] * omega * wz[None, :]) @ phi_z
+        assert F == pytest.approx(ref, rel=1e-12, abs=1e-14 * np.abs(ref).max())
+
+    def test_indefinite_eta_pencil_raises(self):
+        with pytest.raises(AssemblyFailure, match="eta pencil"):
+            ps.assemble(identity_mesh_r(8), _FlippedMetric(identity_mesh_z(4)))
+
+    def test_indefinite_rho_system_names_mode(self):
+        with pytest.raises(AssemblyFailure, match=r"rho system .* mode j = 0 "):
+            ps.assemble(_FlippedMetric(identity_mesh_r(8)), identity_mesh_z(4))

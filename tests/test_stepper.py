@@ -258,6 +258,15 @@ class TestRunLoop:
         assert all(b > a for a, b in zip(times, times[1:]))
         assert times[-1] == res.state.t
 
+    def test_records_carry_poisson_residual(self, tmp_path):
+        cfg = st.RunConfig(case=1, n=64, m=32, t_end=1.0, max_steps=4, diag_every=2,
+                           out_dir=str(tmp_path))
+        res = st.run(cfg)
+        col = runio.read_diagnostics(tmp_path / "diagnostics.csv")["poisson_residual"]
+        assert len(col) == len(res.records) >= 3
+        assert np.all(np.isfinite(col)) and np.all((col > 0.0) & (col < 1e-6))
+        assert col.tolist() == [r.poisson_residual for r in res.records]
+
     @pytest.mark.parametrize("error", [SolveFailure("singular"), RuntimeError("bug")])
     def test_final_record_error(self, tmp_path, monkeypatch, error):
         # One step off the cadence and no mesh rebuild: rhs calls 1-3 are the
