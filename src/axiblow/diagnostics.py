@@ -201,10 +201,11 @@ def streamline(u1: FieldGrid, ur: FieldGrid, uz: FieldGrid,
         z = p[2]
         if not (0.0 <= r <= 1.0 and 0.0 <= z <= mesh_z.L):
             return None
+        rho, eta = mm.pull_back(mesh_r, mesh_z, [r], [z])
         vals = np.array([
-            mm.sample_ip4(ur.values, mesh_r, mesh_z, [r], [z], "odd", "even")[0, 0],
-            mm.sample_ip4(u1.values, mesh_r, mesh_z, [r], [z], "even", "odd")[0, 0],
-            mm.sample_ip4(uz.values, mesh_r, mesh_z, [r], [z], "even", "odd")[0, 0],
+            mm.evaluate_ip4(ur.values, rho, eta, "odd", "even")[0, 0],
+            mm.evaluate_ip4(u1.values, rho, eta, "even", "odd")[0, 0],
+            mm.evaluate_ip4(uz.values, rho, eta, "even", "odd")[0, 0],
         ])
         v_r, u_theta, v_z = vals[0], r * vals[1], vals[2]
         if r == 0.0:

@@ -82,24 +82,26 @@ def lpf(f: FieldGrid, c, mesh_r: mm.MeshMap, mesh_z: mm.MeshMap) -> FieldGrid:
     return f.like(mid + quarter * second)
 
 
-def rlpf(f: FieldGrid, u1_current: np.ndarray, mesh_r: mm.MeshMap, mesh_z: mm.MeshMap,
-         k: int, N: int, M: int, c) -> FieldGrid:
+def rlpf(fs: tuple, u1_current: np.ndarray, mesh_r: mm.MeshMap, mesh_z: mm.MeshMap,
+         k: int, N: int, M: int, c) -> tuple:
     """Re-meshed low-pass filter: coarse-mesh round trip with k passes.
 
     The coarse (N, M) mesh is rebuilt from the current swirl field so its
-    phases track the solution now, not at the last reference time.  k = 0
-    performs the bare interpolation round trip (exact on bicubics).
+    phases track the solution now, not at the last reference time.  Every
+    field of ``fs`` shares that mesh pair and its two pull-backs; each is
+    filtered on its own and returned in order.  k = 0 performs the bare
+    interpolation round trip (exact on bicubics).
     """
     tr = mm.derive_targets(u1_current, mesh_r, mesh_z, "r")
     tz = mm.derive_targets(u1_current, mesh_r, mesh_z, "z")
     coarse_r = mm.build_map(mm.R_KNOTS, mm.solve_phase_coeffs(mm.R_KNOTS, tr), 1.0, N)
     coarse_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(mm.Z_KNOTS, tz), 0.5, M)
-    coarse = FieldGrid(
-        mm.interpolate_ip4(f.values, mesh_r, mesh_z, coarse_r, coarse_z,
-                           parity_r=f.parity_r, parity_z=f.parity_z),
-        f.parity_r, f.parity_z)
-    for _ in range(k):
-        coarse = lpf(coarse, c, coarse_r, coarse_z)
-    back = mm.interpolate_ip4(coarse.values, coarse_r, coarse_z, mesh_r, mesh_z,
-                              parity_r=f.parity_r, parity_z=f.parity_z)
-    return f.like(back)
+    down = mm.pull_back_nodes(mesh_r, mesh_z, coarse_r, coarse_z)
+    up = mm.pull_back_nodes(coarse_r, coarse_z, mesh_r, mesh_z)
+    out = []
+    for f in fs:
+        coarse = f.like(mm.evaluate_ip4(f.values, *down, f.parity_r, f.parity_z))
+        for _ in range(k):
+            coarse = lpf(coarse, c, coarse_r, coarse_z)
+        out.append(f.like(mm.evaluate_ip4(coarse.values, *up, f.parity_r, f.parity_z)))
+    return tuple(out)

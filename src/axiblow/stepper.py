@@ -130,8 +130,8 @@ def rhs(u1: FieldGrid, w1: FieldGrid, state: SolutionState, spec: ph.DiffusionSp
         N, M = cfg.rlpf_nm if cfg.rlpf_nm else (mesh_z.n, mesh_z.n)
         # strength object re-evaluates on the coarse mesh's own nodes
         shape = fl.LShapeStrength()
-        psi_r = fl.rlpf(psi_r, u1.values, mesh_r, mesh_z, cfg.rlpf_k, N, M, shape)
-        psi_z = fl.rlpf(psi_z, u1.values, mesh_r, mesh_z, cfg.rlpf_k, N, M, shape)
+        psi_r, psi_z = fl.rlpf((psi_r, psi_z), u1.values, mesh_r, mesh_z,
+                               cfg.rlpf_k, N, M, shape)
         if counters is not None:
             counters["rlpf_applications"] = counters.get("rlpf_applications", 0) + 2
     psi_r = fl.lpf(psi_r, 1.0, mesh_r, mesh_z)
@@ -221,10 +221,9 @@ def rebuild_meshes(state: SolutionState, cfg: RunConfig) -> SolutionState:
     tz = mm.derive_targets(state.u1.values, state.mesh_r, state.mesh_z, "z")
     mesh_r = mm.build_map(mm.R_KNOTS, mm.solve_phase_coeffs(mm.R_KNOTS, tr), 1.0, cfg.n)
     mesh_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(mm.Z_KNOTS, tz), 0.5, cfg.m)
-    u1 = FieldGrid(mm.interpolate_ip4(state.u1.values, state.mesh_r, state.mesh_z,
-                                      mesh_r, mesh_z, "even", "odd"), "even", "odd")
-    w1 = FieldGrid(mm.interpolate_ip4(state.w1.values, state.mesh_r, state.mesh_z,
-                                      mesh_r, mesh_z, "even", "odd"), "even", "odd")
+    rho, eta = mm.pull_back_nodes(state.mesh_r, state.mesh_z, mesh_r, mesh_z)
+    u1 = FieldGrid(mm.evaluate_ip4(state.u1.values, rho, eta, "even", "odd"), "even", "odd")
+    w1 = FieldGrid(mm.evaluate_ip4(state.w1.values, rho, eta, "even", "odd"), "even", "odd")
     u1.values[-1, :] = 0.0
     for f in (u1, w1):
         f.values[:, 0] = 0.0

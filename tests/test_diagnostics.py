@@ -5,6 +5,8 @@ import pytest
 
 from axiblow import diagnostics as dg
 from axiblow import meshmap as mm
+from axiblow import physics as ph
+from axiblow import stepper as st
 from axiblow.errors import OutOfDomain, ZeroField
 from axiblow.fields import FieldGrid
 
@@ -200,6 +202,18 @@ class TestRescaledProfile:
                                 np.linspace(-2, 5, 8), np.linspace(0, 3, 5))
 
 
+@pytest.fixture(scope="module")
+def computed_flow():
+    """Velocities of the first rhs on the 64x32 initial Case-1 state, and a
+    streamline start at its swirl peak."""
+    cfg = st.RunConfig(case=1, n=64, m=32)
+    state = st.build_initial_state(cfg)
+    _, _, aux = st.rhs(state.u1, state.w1, state, ph.spec_for_case(1), cfg,
+                       st.omega_theta_sup(state.w1, state.mesh_r))
+    R, Z, _ = dg.max_location(state.u1, state.mesh_r, state.mesh_z)
+    return (state.u1, aux.ur, aux.uz, state.mesh_r, state.mesh_z), (R, 0.3, Z)
+
+
 class TestStreamline:
     def test_uniform_axial_flow_is_straight(self):
         mesh_r, mesh_z = identity_mesh_r(32), identity_mesh_z(16)
@@ -236,3 +250,52 @@ class TestStreamline:
                                     (0.3, 0.0, 0.45), s_max=1.0, ds=0.01)
         assert exited
         assert pts[-1, 2] <= 0.5
+
+    @staticmethod
+    def _three_sample_streamline(u1, ur, uz, mesh_r, mesh_z, start, s_max, ds):
+        """Reference RK4 integrator with one sample_ip4 per velocity component."""
+        r0, th0, z0 = start
+        pos = np.array([r0 * np.cos(th0), r0 * np.sin(th0), z0])
+
+        def velocity(p):
+            r, z = float(np.hypot(p[0], p[1])), p[2]
+            if not (0.0 <= r <= 1.0 and 0.0 <= z <= mesh_z.L):
+                return None
+            v_r = mm.sample_ip4(ur.values, mesh_r, mesh_z, [r], [z], "odd", "even")[0, 0]
+            u_th = r * mm.sample_ip4(u1.values, mesh_r, mesh_z, [r], [z], "even", "odd")[0, 0]
+            v_z = mm.sample_ip4(uz.values, mesh_r, mesh_z, [r], [z], "even", "odd")[0, 0]
+            c, s = p[0] / r, p[1] / r
+            return np.array([v_r * c - u_th * s, v_r * s + u_th * c, v_z])
+
+        points = [pos.copy()]
+        for _ in range(int(round(s_max / ds))):
+            k1 = velocity(pos)
+            k2 = velocity(pos + 0.5 * ds * k1)
+            k3 = velocity(pos + 0.5 * ds * k2)
+            k4 = velocity(pos + ds * k3)
+            pos = pos + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            points.append(pos.copy())
+        return np.array(points)
+
+    def test_shared_pull_back_matches_three_samples(self, computed_flow):
+        flow, start = computed_flow
+        pts, exited = dg.streamline(*flow, start, s_max=2e-4, ds=1e-5)
+        assert not exited and len(pts) == 21
+        assert np.abs(pts[-1] - pts[0]).max() > 0.5 * start[0]  # the path really moves
+        ref = self._three_sample_streamline(*flow, start, s_max=2e-4, ds=1e-5)
+        assert np.array_equal(pts, ref)
+
+    def test_one_pull_back_per_stage(self, computed_flow, monkeypatch):
+        # Work-count guard: one RK4 step is 4 stages of 2 inverses each.
+        flow, start = computed_flow
+        calls = []
+        real = mm.MeshMap.inverse
+
+        def inverse(self, y):
+            calls.append(1)
+            return real(self, y)
+
+        monkeypatch.setattr(mm.MeshMap, "inverse", inverse)
+        pts, exited = dg.streamline(*flow, start, s_max=1e-5, ds=1e-5)
+        assert len(pts) == 2 and not exited
+        assert len(calls) == 8

@@ -131,8 +131,8 @@ class TestRLPF:
         rho = mesh_r.nodes_s[:, None]
         eta = mesh_z.nodes_s[None, :]
         f = FieldGrid(rho**3 - 2 * rho * eta**2 + eta**3, None, None)
-        out = fl.rlpf(f, u1, mesh_r, mesh_z, k=0, N=mesh_r.n // 2, M=mesh_z.n // 2,
-                      c=fl.LShapeStrength())
+        out, = fl.rlpf((f,), u1, mesh_r, mesh_z, k=0, N=mesh_r.n // 2, M=mesh_z.n // 2,
+                       c=fl.LShapeStrength())
         scale = np.abs(f.values).max()
         assert np.abs(out.values - f.values).max() < 1e-4 * scale
 
@@ -143,7 +143,7 @@ class TestRLPF:
         changes = []
         for frac in (2, 4):
             N, M = mesh_r.n // frac, mesh_z.n // frac
-            out = fl.rlpf(f, u1, mesh_r, mesh_z, k=5, N=N, M=M, c=1.0)
+            out, = fl.rlpf((f,), u1, mesh_r, mesh_z, k=5, N=N, M=M, c=1.0)
             changes.append(np.abs(out.values - f.values).max())
         # halving the coarse resolution quadruples the perturbation
         assert 2.5 < changes[1] / changes[0] < 6.0
@@ -152,7 +152,21 @@ class TestRLPF:
         mesh_r, mesh_z, u1 = self._front_setup()
         f = FieldGrid(np.sin(2 * np.pi * mesh_r.nodes_s)[:, None]
                       * np.sin(np.pi * mesh_z.nodes_s)[None, :] ** 2, None, None)
-        out = fl.rlpf(f, u1, mesh_r, mesh_z, k=50, N=mesh_z.n, M=mesh_z.n,
-                      c=fl.LShapeStrength())
+        out, = fl.rlpf((f,), u1, mesh_r, mesh_z, k=50, N=mesh_z.n, M=mesh_z.n,
+                       c=fl.LShapeStrength())
         assert np.isfinite(out.values).all()
         assert np.abs(out.values).max() <= np.abs(f.values).max() * 1.05
+
+    def test_field_pair_matches_single_fields(self):
+        # Both fields share one coarse pair and its pull-backs; each result
+        # equals filtering that field alone, bit for bit.
+        mesh_r, mesh_z, u1 = self._front_setup(128, 64)
+        rho = mesh_r.nodes_s[:, None]
+        eta = mesh_z.nodes_s[None, :]
+        a = FieldGrid(np.sin(3 * rho) * np.cos(np.pi * eta), "odd", "even")
+        b = FieldGrid(np.cos(2 * rho) * np.sin(2 * np.pi * eta), "even", "odd")
+        args = (u1, mesh_r, mesh_z, 5, 64, 64, fl.LShapeStrength())
+        pair = fl.rlpf((a, b), *args)
+        assert [(f.parity_r, f.parity_z) for f in pair] == [("odd", "even"), ("even", "odd")]
+        assert np.array_equal(pair[0].values, fl.rlpf((a,), *args)[0].values)
+        assert np.array_equal(pair[1].values, fl.rlpf((b,), *args)[0].values)

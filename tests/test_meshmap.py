@@ -156,6 +156,74 @@ class TestBuildMap:
         assert np.abs(mesh.inverse(mesh.value(s)) - s).max() < 1e-13
 
 
+def bisect_inverse(mesh, y, sweeps=60):
+    """Oracle: plain bisection on the map value, independent of the cell table."""
+    lo, hi = np.zeros_like(y), np.ones_like(y)
+    for _ in range(sweeps):
+        mid = 0.5 * (lo + hi)
+        low = mesh.value(mid) < y
+        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# Extreme fronts: phase 1 squeezed to ~1e-9 of the extent, for a soft and a
+# sharp step exponent.
+EXTREME_MAPS = [
+    (knots, targets, L, b)
+    for knots, targets, L in ((mm.R_KNOTS, mm.MeshTargets(1e-9, 5e-9, 1e-8, 1.0), 1.0),
+                              (mm.Z_KNOTS, mm.MeshTargets(0.0, 1e-10, 1e-9, 0.5), 0.5))
+    for b in (2, 60)
+]
+
+
+class TestInverse:
+    @pytest.mark.parametrize("knots,targets,L,b", EXTREME_MAPS)
+    def test_matches_bisection_oracle(self, knots, targets, L, b):
+        mesh = mm.build_map(knots, mm.solve_phase_coeffs(knots, targets, b), L, 256)
+        s = np.concatenate([np.random.default_rng(b).random(2000), mesh.nodes_s])
+        y = mesh.value(s)
+        got = mesh.inverse(y)
+        assert np.abs(got - bisect_inverse(mesh, y)).max() < 1e-13
+        assert np.abs(got - s).max() < 1e-13
+
+    @pytest.mark.parametrize("knots,targets,L,b", EXTREME_MAPS)
+    def test_cell_edges_and_ends(self, knots, targets, L, b):
+        mesh = mm.build_map(knots, mm.solve_phase_coeffs(knots, targets, b), L, 256)
+        edges = mesh._edges
+        y = np.concatenate([mesh.value(edges), [0.0, L, L * (1.0 + 5e-10)]])
+        expect = np.concatenate([edges, [0.0, 1.0, 1.0]])
+        got = mesh.inverse(y)
+        assert np.abs(got - bisect_inverse(mesh, y)).max() < 1e-13
+        assert np.abs(got - expect).max() < 1e-13
+        assert mesh.inverse(L * (1.0 + 5e-10)) == 1.0
+        assert mesh.inverse(0.0) == 0.0
+
+    def test_scalar_and_array_returns(self):
+        mesh = gentle_mesh_r(64)
+        assert isinstance(mesh.inverse(0.3), float)
+        assert mesh.inverse([0.3]).shape == (1,)
+
+    @pytest.mark.parametrize("y", [-2e-9, 1.0 + 2e-9, [0.5, 1.1]])
+    def test_out_of_domain(self, y):
+        with pytest.raises(OutOfDomain):
+            gentle_mesh_r(64).inverse(y)
+
+    def test_value_calls_bounded(self, monkeypatch):
+        # Work-count guard: three Newton steps, no bisection sweeps.
+        mesh = gentle_mesh_r(256)
+        y = mesh.nodes_y.copy()
+        calls = []
+        real = mm.MeshMap.value
+
+        def value(self, s):
+            calls.append(np.size(s))
+            return real(self, s)
+
+        monkeypatch.setattr(mm.MeshMap, "value", value)
+        mesh.inverse(y)
+        assert len(calls) <= 4
+
+
 class TestDeriveTargets:
     @staticmethod
     def _bump_field(mesh_r, mesh_z, R, Z, wr, wz):
@@ -307,6 +375,15 @@ class TestInterpolateIP4:
         bad_z = mm.build_map(mm.Z_KNOTS, mm.DensityCoeffs(0.0, 1.0, 0.0, 0.0), 1.0, 8)
         with pytest.raises(OutOfDomain):
             mm.interpolate_ip4(np.zeros((17, 9)), src_r, src_z, src_r, bad_z)
+
+    def test_sample_is_pull_back_then_evaluation(self, rng):
+        src_r, src_z = gentle_mesh_r(48), gentle_mesh_z(24)
+        vals = rng.standard_normal((49, 25))
+        r_pts, z_pts = rng.random(37), 0.5 * rng.random(23)
+        rho, eta = mm.pull_back(src_r, src_z, r_pts, z_pts)
+        for parity in ((None, None), ("even", "odd"), ("odd", "even")):
+            assert np.array_equal(mm.sample_ip4(vals, src_r, src_z, r_pts, z_pts, *parity),
+                                  mm.evaluate_ip4(vals, rho, eta, *parity))
 
 
 class TestDumpParse:

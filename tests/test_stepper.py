@@ -157,6 +157,30 @@ class TestRhs:
         assert np.array_equal(du, expect_du)
         assert np.array_equal(dw, expect_dw)
 
+    def test_case4_one_coarse_pair_and_two_pull_backs(self, monkeypatch):
+        # Work-count guard: rlpf filters psi_r and psi_z on one coarse pair,
+        # built once, with one pull-back down and one up.
+        cfg = st.RunConfig(case=4, rlpf_k=5, n=64, m=32)
+        state = st.build_initial_state(cfg)
+        calls = {"build_map": 0, "inverse": 0}
+        real_build, real_inverse = mm.build_map, mm.MeshMap.inverse
+
+        def build_map(*args, **kwargs):
+            calls["build_map"] += 1
+            return real_build(*args, **kwargs)
+
+        def inverse(self, y):
+            calls["inverse"] += 1
+            return real_inverse(self, y)
+
+        monkeypatch.setattr(mm, "build_map", build_map)
+        monkeypatch.setattr(mm.MeshMap, "inverse", inverse)
+        counters = {}
+        st.rhs(state.u1, state.w1, state, ph.spec_for_case(4), cfg,
+               st.omega_theta_sup(state.w1, state.mesh_r), counters)
+        assert calls == {"build_map": 2, "inverse": 4}
+        assert counters["rlpf_applications"] == 2
+
 
 class TestStepRK2:
     def test_zero_state_stays_zero(self):
