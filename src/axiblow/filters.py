@@ -4,11 +4,12 @@ The basic filter is one damped-Jacobi-style pass per direction,
 
     f <- f + (c/4) (f_{i-1} + f_{i+1} - 2 f_i),
 
-applied first along rho, then along eta, on the ghost-padded rows the
-derivative stencils use (``fields._pad``).  The strength c(rho, eta) in
-[0, 1] is either uniform or the L-shaped product of soft cutoffs that
-covers the tail region of the solution (phase 2 of the adaptive mesh)
-while leaving the singular phase-1 box and the far field untouched.
+applied first along rho, then along eta, with the second differences and
+ghost rows of the derivative stencils (``fields``) and no padded copy.
+The strength c(rho, eta) in [0, 1] is a scalar or the cached L-shaped
+product of soft cutoffs that covers the tail region of the solution
+(phase 2 of the adaptive mesh) while leaving the singular phase-1 box and
+the far field untouched.
 
 The re-meshed variant interpolates the field onto a coarser mesh adapted
 to the *current* solution, filters k times there, and interpolates back;
@@ -18,68 +19,48 @@ shear-driven tail oscillations that the plain filter is too weak to damp.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import meshmap as mm
-from .fields import FieldGrid, _pad
+from .fields import FieldGrid, _second_difference
 from .physics import soft_cutoff
 
 
-class UniformStrength:
-    """Constant filter strength c in [0, 1]."""
-
-    def __init__(self, c: float):
-        if not 0.0 <= c <= 1.0:
-            raise ValueError("filter strength must lie in [0, 1]")
-        self.c = float(c)
-
-    def values(self, rho, eta):
-        return self.c
-
-
-class LShapeStrength:
-    """Tail-region strength: ~1 on the L-shaped band, ~0 elsewhere.
+@lru_cache(maxsize=None)
+def l_shape_strength(n: int, m: int) -> np.ndarray:
+    """Tail-region strength on the (n+1) x (m+1) grid: ~1 on the L band, ~0 elsewhere.
 
     c(rho, eta) = fbar(rho; .8, .05) fbar(eta; .8, .05)
                   * (1 - fbar(rho; .45, .05) fbar(eta; .45, .05)),
     with fbar = 1 - soft_cutoff: vanishes in the phase-1 box (both
-    coordinates below ~0.45) and beyond ~0.8 in either coordinate.
+    coordinates below ~0.45) and beyond ~0.8 in either coordinate.  The
+    grid is cached per (n, m) and read-only.
     """
-
-    def values(self, rho, eta):
-        fr8 = 1.0 - soft_cutoff(rho, 0.8, 0.05)
-        fe8 = 1.0 - soft_cutoff(eta, 0.8, 0.05)
-        fr45 = 1.0 - soft_cutoff(rho, 0.45, 0.05)
-        fe45 = 1.0 - soft_cutoff(eta, 0.45, 0.05)
-        return fr8 * fe8 * (1.0 - fr45 * fe45)
-
-
-def strength_cL(rho, eta):
-    """L-shaped strength value at (rho, eta)."""
-    return LShapeStrength().values(np.asarray(rho), np.asarray(eta))
+    rho = np.linspace(0.0, 1.0, n + 1)[:, None]
+    eta = np.linspace(0.0, 1.0, m + 1)[None, :]
+    fr8 = 1.0 - soft_cutoff(rho, 0.8, 0.05)
+    fe8 = 1.0 - soft_cutoff(eta, 0.8, 0.05)
+    fr45 = 1.0 - soft_cutoff(rho, 0.45, 0.05)
+    fe45 = 1.0 - soft_cutoff(eta, 0.45, 0.05)
+    c = fr8 * fe8 * (1.0 - fr45 * fe45)
+    c.flags.writeable = False
+    return c
 
 
-def _strength_grid(c, nodes_rho, nodes_eta):
-    if np.isscalar(c) or isinstance(c, float):
-        return float(c)
-    if isinstance(c, np.ndarray):
-        return c
-    return c.values(nodes_rho[:, None], nodes_eta[None, :])
-
-
-def lpf(f: FieldGrid, c, mesh_r: mm.MeshMap, mesh_z: mm.MeshMap) -> FieldGrid:
-    """One low-pass filtering sweep (rho pass then eta pass).
-
-    ``c`` may be a scalar, a nodal array, or a strength object.  Ghost
-    rows come from ``fields._pad``, as for the derivative stencils.
-    """
-    cg = _strength_grid(c, mesh_r.nodes_s, mesh_z.nodes_s)
-    quarter = 0.25 * cg
-    p = _pad(f.values, 0, f.parity_r, None)
-    mid = f.values + quarter * (p[2:] + p[:-2] - 2.0 * p[1:-1])
-    p = _pad(mid, 1, f.parity_z, f.parity_z)
-    second = np.moveaxis(p[2:] + p[:-2] - 2.0 * p[1:-1], 0, 1)
-    return f.like(mid + quarter * second)
+def lpf(f: FieldGrid, c) -> FieldGrid:
+    """One low-pass filtering sweep (rho pass then eta pass) in the
+    computational coordinates; ``c`` is a scalar or a nodal array."""
+    quarter = 0.25 * c
+    v = f.values
+    mid = _second_difference(v, 0, f.parity_r, None, np.empty(v.shape))
+    mid *= quarter
+    mid += v
+    out = _second_difference(mid, 1, f.parity_z, f.parity_z, np.empty(v.shape))
+    out *= quarter
+    out += mid
+    return f.like(out)
 
 
 def rlpf(fs: tuple, u1_current: np.ndarray, mesh_r: mm.MeshMap, mesh_z: mm.MeshMap,
@@ -89,8 +70,9 @@ def rlpf(fs: tuple, u1_current: np.ndarray, mesh_r: mm.MeshMap, mesh_z: mm.MeshM
     The coarse (N, M) mesh is rebuilt from the current swirl field so its
     phases track the solution now, not at the last reference time.  Every
     field of ``fs`` shares that mesh pair and its two pull-backs; each is
-    filtered on its own and returned in order.  k = 0 performs the bare
-    interpolation round trip (exact on bicubics).
+    filtered on its own, with strength ``c`` on the coarse grid, and
+    returned in order.  k = 0 performs the bare interpolation round trip
+    (exact on bicubics).
     """
     tr = mm.derive_targets(u1_current, mesh_r, mesh_z, "r")
     tz = mm.derive_targets(u1_current, mesh_r, mesh_z, "z")
@@ -102,6 +84,6 @@ def rlpf(fs: tuple, u1_current: np.ndarray, mesh_r: mm.MeshMap, mesh_z: mm.MeshM
     for f in fs:
         coarse = f.like(mm.evaluate_ip4(f.values, *down, f.parity_r, f.parity_z))
         for _ in range(k):
-            coarse = lpf(coarse, c, coarse_r, coarse_z)
+            coarse = lpf(coarse, c)
         out.append(f.like(mm.evaluate_ip4(coarse.values, *up, f.parity_r, f.parity_z)))
     return tuple(out)

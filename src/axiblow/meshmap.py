@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProfile, NonPositiveDensity, OutOfDomain
-from .fields import _pad
+from .fields import _difference
 
 DEFAULT_B = 60
 
@@ -30,6 +30,11 @@ DEFAULT_B = 60
 # s1 = 0: no inner-gap phase in the axial direction.
 R_KNOTS: "PhaseKnots"
 Z_KNOTS: "PhaseKnots"
+
+# Quadrature cells per phase of build_map; they resolve a density step, as
+# MeshMap.inverse needs, up to b = MAX_B (at b = 600 it is off by 3.4e-7).
+CELLS_PER_PHASE = 96
+MAX_B = 200
 
 # Minimum number of grid points that must cover the feature intervals
 # [R_r, R] and [0, Z] before a mesh rebuild is triggered.
@@ -198,6 +203,10 @@ class MeshMap:
         self.nodes_y = self.value(self.nodes_s)
         self.nodes_dy = self.deriv(self.nodes_s)
         self.nodes_d2y = self.deriv2(self.nodes_s)
+        # Metric folded into centered-difference weights (see fields).
+        self.w_d1 = 1.0 / (2.0 * self.h * self.nodes_dy)
+        self.w_d2 = 1.0 / (self.h * self.nodes_dy) ** 2
+        self.w_d2y = self.nodes_d2y / (2.0 * self.h * self.nodes_dy**3)
 
     def deriv(self, s):
         return self.rescale * density(s, self.knots, self.coeffs)
@@ -227,8 +236,8 @@ class MeshMap:
         table, started at the cell's linear interpolant and polished by
         three Newton steps on the analytic density, each clipped to the
         cell.  This relies on cells much narrower than the 1/b width of a
-        density step, which build_map's 96 cells per phase give up to
-        b ~ 200: there two steps leave ~1e-10 and the third reaches
+        density step, which build_map's CELLS_PER_PHASE cells give up to
+        b = MAX_B: there two steps leave ~1e-10 and the third reaches
         round-off.
         """
         scalar = np.ndim(y) == 0
@@ -246,19 +255,21 @@ class MeshMap:
         return float(s[0]) if scalar else s
 
 
-def build_map(knots: PhaseKnots, coeffs: DensityCoeffs, L: float, n: int,
-              cells_per_phase: int = 96) -> MeshMap:
+def build_map(knots: PhaseKnots, coeffs: DensityCoeffs, L: float, n: int) -> MeshMap:
     """Build a MeshMap, rescaling the density so the endpoint hits L exactly.
 
-    Quadrature subcells are aligned to the phase knots; 96 subcells per
-    phase keeps the cell width well under the 1/b transition width of the
-    sigmoid steps, so the composite 6-point rule resolves P to ~1e-13.
+    Quadrature subcells are aligned to the phase knots; CELLS_PER_PHASE
+    subcells per phase keep the cell width well under the 1/b transition
+    width of the sigmoid steps (for b <= MAX_B, else ValueError), so the
+    composite 6-point rule resolves P to ~1e-13.
     """
+    if coeffs.b > MAX_B:
+        raise ValueError(f"sharpness exponent b = {coeffs.b} exceeds the limit {MAX_B}")
     breakpoints = [0.0, knots.s1, knots.s2, knots.s3, 1.0]
     edges = [np.array([0.0])]
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         if hi > lo:
-            edges.append(np.linspace(lo, hi, cells_per_phase + 1)[1:])
+            edges.append(np.linspace(lo, hi, CELLS_PER_PHASE + 1)[1:])
     cell_edges = np.concatenate(edges)
 
     probe = np.linspace(0.0, 1.0, 4097)
@@ -322,9 +333,11 @@ def profile_features(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap) -> Profil
     R = float(mesh_r.value(rho))
     Z = float(mesh_z.value(eta))
 
-    # u1_r on the peak row: centered differences on the even, walled padding.
-    p = _pad(u1[:, j0], 0, "even", None)
-    u1_r = (p[2:] - p[:-2]) / (2.0 * mesh_r.h) / mesh_r.nodes_dy
+    # u1_r on the peak row, even at the axis and walled.  Dividing by 2h and
+    # dy, not multiplying by w_d1, keeps the rounding the rebuilt maps see.
+    u1_r = _difference(u1[:, j0], 0, "even", None, np.empty(n + 1))
+    u1_r /= 2.0 * mesh_r.h
+    u1_r /= mesh_r.nodes_dy
 
     ir = int(np.argmax(u1_r))
     rho_r = mesh_r.nodes_s[ir]

@@ -67,7 +67,6 @@ class StepReport:
     t: float
     dt: float
     branch: str
-    mesh_updated: bool
     growth_ratio: float
 
 
@@ -97,18 +96,6 @@ class Aux:
     w1f: FieldGrid
 
 
-_CL_CACHE: dict = {}
-
-
-def _cl_strength(n: int, m: int):
-    key = (n, m)
-    if key not in _CL_CACHE:
-        rho = np.linspace(0.0, 1.0, n + 1)[:, None]
-        eta = np.linspace(0.0, 1.0, m + 1)[None, :]
-        _CL_CACHE[key] = fl.LShapeStrength().values(rho, eta)
-    return _CL_CACHE[key]
-
-
 def omega_theta_sup(w1: FieldGrid, mesh_r: mm.MeshMap) -> float:
     return float(np.abs(mesh_r.nodes_y[:, None] * w1.values).max())
 
@@ -117,25 +104,23 @@ def rhs(u1: FieldGrid, w1: FieldGrid, state: SolutionState, spec: ph.DiffusionSp
         cfg: RunConfig, omega_max: float, counters: dict | None = None):
     """Tendencies (du1/dt, dw1/dt) plus the derived fields of the evaluation."""
     mesh_r, mesh_z = state.mesh_r, state.mesh_z
-    cL = _cl_strength(mesh_r.n, mesh_z.n)
+    cL = fl.l_shape_strength(mesh_r.n, mesh_z.n)
 
-    u1f = fl.lpf(fl.lpf(u1, 0.1, mesh_r, mesh_z), cL, mesh_r, mesh_z)
-    w1f = fl.lpf(fl.lpf(w1, 0.1, mesh_r, mesh_z), cL, mesh_r, mesh_z)
+    u1f = fl.lpf(fl.lpf(u1, 0.1), cL)
+    w1f = fl.lpf(fl.lpf(w1, 0.1), cL)
 
     psi = state.system.solve(w1f)
-    psi = fl.lpf(psi, 1.0, mesh_r, mesh_z)
+    psi = fl.lpf(psi, 1.0)
     psi_r = fd.ddr(psi, mesh_r)
     psi_z = fd.ddz(psi, mesh_z)
     if cfg.case == 4 and cfg.rlpf_k > 0:
         N, M = cfg.rlpf_nm if cfg.rlpf_nm else (mesh_z.n, mesh_z.n)
-        # strength object re-evaluates on the coarse mesh's own nodes
-        shape = fl.LShapeStrength()
         psi_r, psi_z = fl.rlpf((psi_r, psi_z), u1.values, mesh_r, mesh_z,
-                               cfg.rlpf_k, N, M, shape)
+                               cfg.rlpf_k, N, M, fl.l_shape_strength(N, M))
         if counters is not None:
             counters["rlpf_applications"] = counters.get("rlpf_applications", 0) + 2
-    psi_r = fl.lpf(psi_r, 1.0, mesh_r, mesh_z)
-    psi_z = fl.lpf(psi_z, 1.0, mesh_r, mesh_z)
+    psi_r = fl.lpf(psi_r, 1.0)
+    psi_z = fl.lpf(psi_z, 1.0)
 
     ur, uz = fd.velocity_from_stream(psi, mesh_r, mesh_z, psi_r=psi_r, psi_z=psi_z)
     g = FieldGrid(-psi_z.values, "even", "even")
@@ -145,12 +130,10 @@ def rhs(u1: FieldGrid, w1: FieldGrid, state: SolutionState, spec: ph.DiffusionSp
     du1 = fd.derivatives(u1f, mesh_r, mesh_z)
     dw1 = fd.derivatives(w1f, mesh_r, mesh_z)
 
-    du = (-(ur.values * du1.r + uz.values * du1.z)
-          + 2.0 * u1f.values * psi_z.values
-          + fd.diffusion_u1_from(u1f, du1, nu, mesh_r))
-    dw = (-(ur.values * dw1.r + uz.values * dw1.z)
-          + 2.0 * u1f.values * du1.z
-          + fd.diffusion_w1_from(w1f, dw1, g, uz, nu, mesh_r, mesh_z))
+    du = -(ur.values * du1.r + uz.values * du1.z) + 2.0 * u1f.values * psi_z.values
+    du += fd.diffusion_u1_from(u1f, du1, nu, mesh_r)
+    dw = -(ur.values * dw1.r + uz.values * dw1.z) + 2.0 * u1f.values * du1.z
+    dw += fd.diffusion_w1_from(w1f, dw1, g, uz, nu, mesh_r, mesh_z)
     aux = Aux(psi, psi_r, psi_z, ur, uz, g, nu, u1f, w1f)
     return du, dw, aux
 
@@ -177,12 +160,15 @@ def compute_dt(aux: Aux, mesh_r: mm.MeshMap, mesh_z: mm.MeshMap, cfl: float):
 
 def step_rk2(state: SolutionState, spec: ph.DiffusionSpec, cfg: RunConfig,
              dt: float | None = None, max_dt: float | None = None,
-             counters: dict | None = None):
+             counters: dict | None = None, first: tuple | None = None):
     """Advance one Heun step; the time-dependent diffusion floor is frozen
     at the step's start for both stages, and boundary rows are re-enforced
-    after each stage."""
+    after each stage.  ``first``, the ``rhs`` result of ``state`` when the
+    caller already has it (a record's), is then the first stage."""
     omega_max = omega_theta_sup(state.w1, state.mesh_r)
-    du1, dw1, aux1 = rhs(state.u1, state.w1, state, spec, cfg, omega_max, counters)
+    if first is None:
+        first = rhs(state.u1, state.w1, state, spec, cfg, omega_max, counters)
+    du1, dw1, aux1 = first
     branch = "fixed"
     if dt is None:
         dt, branch = compute_dt(aux1, state.mesh_r, state.mesh_z, cfg.cfl)
@@ -211,7 +197,7 @@ def step_rk2(state: SolutionState, spec: ph.DiffusionSpec, cfg: RunConfig,
         float(np.abs(w_new.values).max()) / old_w if old_w else 1.0,
     ) - 1.0
     new_state = replace(state, u1=u_new, w1=w_new, t=state.t + dt)
-    report = StepReport(new_state.t, dt, branch, False, growth)
+    report = StepReport(new_state.t, dt, branch, growth)
     return new_state, report, aux1
 
 
@@ -268,7 +254,7 @@ def build_initial_state(cfg: RunConfig) -> SolutionState:
         mesh_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(mm.Z_KNOTS, tz), 0.5, cfg.m)
     u1, w1 = ph.initial_fields(cfg.init, mesh_r, mesh_z)
     system = ps.assemble(mesh_r, mesh_z)
-    psi = system.solve(fl.lpf(w1, 0.1, mesh_r, mesh_z))
+    psi = system.solve(fl.lpf(w1, 0.1))
     fd.enforce_boundary(u1, w1, psi, mesh_r, mesh_z)
     return SolutionState(u1, w1, 0.0, mesh_r, mesh_z, system)
 
@@ -362,11 +348,15 @@ def run(cfg: RunConfig, progress=None) -> RunResult:
                                state.u1, state.w1, state.mesh_r, state.mesh_z)
         files.append(rel)
 
-    def emit_record(aux, dt, mesh_updated):
-        rec = make_record(state, aux, dt, mesh_updated)
+    def emit_record(dt, mesh_updated):
+        """Record the current state; returns its rhs, the next step's first stage."""
+        evaluation = rhs(state.u1, state.w1, state, spec, cfg,
+                         omega_theta_sup(state.w1, state.mesh_r), counters)
+        rec = make_record(state, evaluation[2], dt, mesh_updated)
         records.append(rec)
         if writer:
             writer.write(rec.row())
+        return evaluation
 
     reason = "completed"
     steps = 0
@@ -375,9 +365,7 @@ def run(cfg: RunConfig, progress=None) -> RunResult:
     wall_start = time.time()
 
     # initial record and artifacts
-    _, _, aux0 = rhs(state.u1, state.w1, state, spec, cfg,
-                     omega_theta_sup(state.w1, state.mesh_r), counters)
-    emit_record(aux0, 0.0, False)
+    first = emit_record(0.0, False)
     emit_meshes("init")
     emit_checkpoint()
 
@@ -391,9 +379,9 @@ def run(cfg: RunConfig, progress=None) -> RunResult:
                 if s > state.t * (1.0 + 1e-12):
                     next_stop = min(next_stop, s)
                     break
-            state, report, aux = step_rk2(state, spec, cfg,
-                                          max_dt=next_stop - state.t,
-                                          counters=counters)
+            state, report, _ = step_rk2(state, spec, cfg, max_dt=next_stop - state.t,
+                                        counters=counters, first=first)
+            first = None
             steps += 1
 
             hit_snap = any(abs(state.t - s) <= 1e-9 * t_scale for s in snaps)
@@ -414,9 +402,7 @@ def run(cfg: RunConfig, progress=None) -> RunResult:
 
             done = state.t >= cfg.t_end * (1.0 - 1e-12)
             if steps % cfg.diag_every == 0 or mesh_updated or done or hit_snap:
-                _, _, aux_rec = rhs(state.u1, state.w1, state, spec, cfg,
-                                    omega_theta_sup(state.w1, state.mesh_r), counters)
-                emit_record(aux_rec, report.dt, mesh_updated)
+                first = emit_record(report.dt, mesh_updated)
             if progress and steps % progress == 0:
                 r = records[-1] if records else None
                 print(f"  step {steps}  t={state.t:.6e} dt={report.dt:.3e} "
@@ -430,9 +416,7 @@ def run(cfg: RunConfig, progress=None) -> RunResult:
     final_error = None
     if not records or records[-1].t < state.t:
         try:
-            _, _, aux_fin = rhs(state.u1, state.w1, state, spec, cfg,
-                                omega_theta_sup(state.w1, state.mesh_r), counters)
-            emit_record(aux_fin, 0.0, False)
+            emit_record(0.0, False)
         except (NonFinite, SolveFailure, DegenerateProfile, NonPositiveDensity) as exc:
             # the state that halted the loop can fail again in rhs (rlpf
             # re-derives the same mesh targets); log it, keep the artifacts

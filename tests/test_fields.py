@@ -1,11 +1,14 @@
 """Mapped-coordinate derivative kernels, velocity recovery, diffusion terms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sym
 
 from axiblow import fields as fd
 from axiblow import filters as fl
+from axiblow import meshmap as mm
 from axiblow import physics as ph
 from axiblow.fields import FieldGrid
 
@@ -120,7 +123,7 @@ class TestGhostLayer:
             d1 = fd.ddz(f, mesh_z).values[0]
             d2 = fd.d2dz2(f, mesh_z).values[0]
             mesh, ends = mesh_z, (parity, parity)
-        smooth = fl.lpf(f, 1.0, mesh_r, mesh_z).values
+        smooth = fl.lpf(f, 1.0).values
         smooth = smooth[:, 0] if axis == "r" else smooth[0]
         h = mesh.h
         for k, e, end_parity, sign in ((0, line, ends[0], 1.0), (-1, line[::-1], ends[1], -1.0)):
@@ -136,6 +139,106 @@ class TestGhostLayer:
             assert d1[0] == 0.0
         elif parity == "odd":
             assert d1[0] == line[1] / h / mesh.nodes_dy[0]
+
+
+def padded(v, axis, lo, hi):
+    """``v`` with one ghost row at each end of ``axis``, that axis moved first."""
+    shape = list(v.shape)
+    shape[axis] += 2
+    p = np.moveaxis(np.empty(shape), axis, 0)
+    v = np.moveaxis(v, axis, 0)
+    p[1:-1] = v
+    p[0] = GHOST[lo](v)
+    p[-1] = GHOST[hi](v[::-1])
+    return p
+
+
+def padded_first_second(v, mesh, axis, lo, hi):
+    """First and second physical derivatives by the padded-copy formulas."""
+    p = padded(v, axis, lo, hi)
+    h, dy, d2y = mesh.h, mesh.nodes_dy[:, None], mesh.nodes_d2y[:, None]
+    d1 = (p[2:] - p[:-2]) / (2.0 * h)
+    d2 = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)
+    return (np.moveaxis(d1 / dy, 0, axis),
+            np.moveaxis(d2 / dy**2 - d2y * d1 / dy**3, 0, axis))
+
+
+def padded_lpf(v, c, lo_r, par_z):
+    quarter = 0.25 * c
+    p = padded(v, 0, lo_r, None)
+    mid = v + quarter * (p[2:] + p[:-2] - 2.0 * p[1:-1])
+    p = padded(mid, 1, par_z, par_z)
+    return mid + quarter * np.moveaxis(p[2:] + p[:-2] - 2.0 * p[1:-1], 0, 1)
+
+
+class TestFoldedStencils:
+    """The in-place kernels against the padded-copy formulas they replace."""
+
+    def test_match_padded_formulas(self):
+        mesh_r, mesh_z = gentle_mesh_r(64), gentle_mesh_z(32)
+        v = np.random.default_rng(11).standard_normal((65, 33))
+        cL = fl.l_shape_strength(64, 32)
+        worst = {}
+
+        def check(name, got, expect):
+            err = np.abs(got - expect).max() / np.abs(expect).max()
+            worst[name] = max(worst.get(name, 0.0), err)
+
+        parities = ("even", "odd", None)
+        for pr, pz in [(a, b) for a in parities for b in parities]:
+            f = FieldGrid(v, pr, pz)
+            r, rr = padded_first_second(v, mesh_r, 0, pr, None)
+            z, zz = padded_first_second(v, mesh_z, 1, pz, pz)
+            d = fd.derivatives(f, mesh_r, mesh_z)
+            for name, got, expect in (("r", d.r, r), ("rr", d.rr, rr), ("z", d.z, z),
+                                      ("zz", d.zz, zz), ("ddr", fd.ddr(f, mesh_r).values, r),
+                                      ("ddz", fd.ddz(f, mesh_z).values, z)):
+                check(name, got, expect)
+            for c in (0.1, 1.0, cL):
+                check("lpf", fl.lpf(f, c).values, padded_lpf(v, c, pr, pz))
+        print("largest relative difference:", ", ".join(f"{k} {e:.2e}" for k, e in worst.items()))
+        assert max(worst.values()) <= 1e-13, worst
+
+    def test_front_locator_matches_padded_formula(self):
+        # profile_features on a 257-node radial map: u1_r of the peak row
+        # by the padded formula locates the same R_r, bit for bit, since the
+        # rebuilt maps amplify any rounding change in the front.
+        mesh_r, mesh_z = gentle_mesh_r(256), gentle_mesh_z(64)
+        r, z = mesh_r.nodes_y[:, None], mesh_z.nodes_y[None, :]
+        u1 = np.exp(-((r - 0.35) / 0.1) ** 2) * np.sin(2 * np.pi * z)
+        feats = mm.profile_features(u1, mesh_r, mesh_z)
+        p = padded(u1[:, feats.j_peak], 0, "even", None)
+        u1_r = (p[2:] - p[:-2]) / (2.0 * mesh_r.h) / mesh_r.nodes_dy
+        ir = int(np.argmax(u1_r))
+        rho_r = mm.refine_peak_parabolic(u1_r[ir - 1:ir + 2], mesh_r.nodes_s[ir], mesh_r.h)
+        R_r = float(mesh_r.value(rho_r))
+        assert feats.R_r == R_r
+
+    @pytest.mark.parametrize("kernel", ["derivatives", "lpf"])
+    def test_no_padded_copies(self, kernel):
+        # Allocation guard at 128x64: the peak traced bytes of one call stay
+        # within its outputs plus the full-size work arrays named here, plus
+        # numpy's buffer for broadcast operands (getbufsize() doubles) and a
+        # few end rows.
+        mesh_r, mesh_z = gentle_mesh_r(128), gentle_mesh_z(64)
+        f = FieldGrid(np.random.default_rng(3).standard_normal((129, 65)), "even", "odd")
+        if kernel == "derivatives":
+            call, outputs, work = lambda: fd.derivatives(f, mesh_r, mesh_z), 4, 1  # D w_d2y
+        else:
+            cL = fl.l_shape_strength(128, 64)
+            call, outputs, work = lambda: fl.lpf(f, cL), 1, 2  # c/4, 1st pass
+        call()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = f.values.nbytes
+        bound = (outputs + work) * size + 8 * np.getbufsize() + 8 * 1024
+        print(f"{kernel}: peak {peak / size:.2f} arrays, bound {bound / size:.2f}")
+        assert peak <= bound
 
 
 class TestVelocityRecovery:
@@ -218,14 +321,16 @@ class TestDiffusionU1:
         mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
         nu = ph.nu_eval(ph.DiffusionSpec(ph.CASE_INVISCID), mesh_r.nodes_y, mesh_z.nodes_y)
         u1 = FieldGrid(np.random.default_rng(0).standard_normal((17, 9)), "even", "odd")
-        assert not fd.diffusion_u1(u1, nu, mesh_r, mesh_z).values.any()
+        du = fd.derivatives(u1, mesh_r, mesh_z)
+        assert not fd.diffusion_u1_from(u1, du, nu, mesh_r).any()
 
     def test_constant_field_constant_nu(self):
         mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
         nu = ph.nu_eval(ph.DiffusionSpec(ph.CASE_CONSTANT, mu=1e-3),
                         mesh_r.nodes_y, mesh_z.nodes_y)
         u1 = FieldGrid(np.ones((17, 9)), "even", "even")
-        assert np.abs(fd.diffusion_u1(u1, nu, mesh_r, mesh_z).values).max() < 1e-15
+        du = fd.derivatives(u1, mesh_r, mesh_z)
+        assert np.abs(fd.diffusion_u1_from(u1, du, nu, mesh_r)).max() < 1e-15
 
     def test_degenerate_nu_manufactured_second_order(self):
         # Oracle: sympy evaluation of
@@ -247,7 +352,7 @@ class TestDiffusionU1:
             nuf = ph.nu_eval(spec, mesh_r.nodes_y, mesh_z.nodes_y,
                              omega_theta_max=spec.tdp_scale / 1e-7)
             u1 = FieldGrid(nodal(mesh_r, mesh_z, ufun), "even", "odd")
-            got = fd.diffusion_u1(u1, nuf, mesh_r, mesh_z).values
+            got = fd.diffusion_u1_from(u1, fd.derivatives(u1, mesh_r, mesh_z), nuf, mesh_r)
             # oracle is 0/0 at r = 0; parity limit handled inside, compare off-axis
             with np.errstate(divide="ignore", invalid="ignore"):
                 expect = nodal(mesh_r, mesh_z, oracle)
@@ -263,7 +368,8 @@ class TestDiffusionW1:
         w1 = FieldGrid(rng.standard_normal((17, 9)), "even", "odd")
         g = FieldGrid(rng.standard_normal((17, 9)), "even", "even")
         uz = FieldGrid(rng.standard_normal((17, 9)), "even", "odd")
-        assert not fd.diffusion_w1(w1, g, uz, nu, mesh_r, mesh_z).values.any()
+        dw = fd.derivatives(w1, mesh_r, mesh_z)
+        assert not fd.diffusion_w1_from(w1, dw, g, uz, nu, mesh_r, mesh_z).any()
 
     def test_constant_nu_reduces_to_laplacian(self):
         mu = 3e-4
@@ -274,7 +380,8 @@ class TestDiffusionW1:
         w1 = FieldGrid(rng.standard_normal((49, 25)), "even", "odd")
         g = FieldGrid(rng.standard_normal((49, 25)), "even", "even")
         uz = FieldGrid(rng.standard_normal((49, 25)), "even", "odd")
-        got = fd.diffusion_w1(w1, g, uz, nu, mesh_r, mesh_z).values
+        dw = fd.derivatives(w1, mesh_r, mesh_z)
+        got = fd.diffusion_w1_from(w1, dw, g, uz, nu, mesh_r, mesh_z)
         w_r = fd.ddr(w1, mesh_r).values
         w_rr = fd.d2dr2(w1, mesh_r).values
         w_zz = fd.d2dz2(w1, mesh_z).values
@@ -323,7 +430,8 @@ class TestDiffusionW1:
             psig = FieldGrid(nodal(mesh_r, mesh_z, psifun), "even", "odd")
             gf = FieldGrid(-fd.ddz(psig, mesh_z).values, "even", "even")
             _, uzf = fd.velocity_from_stream(psig, mesh_r, mesh_z)
-            got = fd.diffusion_w1(w1, gf, uzf, nuf, mesh_r, mesh_z).values
+            dw = fd.derivatives(w1, mesh_r, mesh_z)
+            got = fd.diffusion_w1_from(w1, dw, gf, uzf, nuf, mesh_r, mesh_z)
             # sample at fixed computational coordinates shared by both grids
             ii = (n // 96) * np.arange(2, 96, 4)
             jj = (n // 96) * np.arange(1, 48, 2)

@@ -12,48 +12,42 @@ from conftest import identity_mesh_r, identity_mesh_z
 
 class TestLPF:
     def test_zero_strength_is_identity(self, rng):
-        mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
         f = FieldGrid(rng.standard_normal((17, 9)), "even", "even")
-        out = fl.lpf(f, 0.0, mesh_r, mesh_z)
+        out = fl.lpf(f, 0.0)
         assert np.array_equal(out.values, f.values)
 
     def test_constant_preserved(self):
-        mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
         f = FieldGrid(np.full((17, 9), 2.5), "even", "even")
-        out = fl.lpf(f, 1.0, mesh_r, mesh_z)
+        out = fl.lpf(f, 1.0)
         assert out.values == pytest.approx(f.values, abs=1e-14)
 
     def test_nyquist_annihilated_interior(self):
-        mesh_r, mesh_z = identity_mesh_r(32), identity_mesh_z(16)
         i = np.arange(33)[:, None]
         f = FieldGrid(np.broadcast_to((-1.0) ** i, (33, 17)).copy(), None, None)
-        out = fl.lpf(f, 1.0, mesh_r, mesh_z)
+        out = fl.lpf(f, 1.0)
         assert np.abs(out.values[1:-1, 1:-1]).max() < 1e-14
 
     def test_linear_and_odd(self, rng):
-        mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
         a = FieldGrid(rng.standard_normal((17, 9)), "even", "odd")
         b = FieldGrid(rng.standard_normal((17, 9)), "even", "odd")
-        fa = fl.lpf(a, 0.7, mesh_r, mesh_z).values
-        fb = fl.lpf(b, 0.7, mesh_r, mesh_z).values
+        fa = fl.lpf(a, 0.7).values
+        fb = fl.lpf(b, 0.7).values
         combo = FieldGrid(2.0 * a.values - 3.0 * b.values, "even", "odd")
-        assert fl.lpf(combo, 0.7, mesh_r, mesh_z).values == pytest.approx(2 * fa - 3 * fb)
-        neg = fl.lpf(FieldGrid(-a.values, "even", "odd"), 0.7, mesh_r, mesh_z).values
+        assert fl.lpf(combo, 0.7).values == pytest.approx(2 * fa - 3 * fb)
+        neg = fl.lpf(FieldGrid(-a.values, "even", "odd"), 0.7).values
         assert neg == pytest.approx(-fa)
 
     def test_parity_preserved(self, rng):
-        mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
         v = rng.standard_normal((17, 9))
         v[:, 0] = 0.0
         v[:, -1] = 0.0
         f = FieldGrid(v, "even", "odd")
-        out = fl.lpf(f, 1.0, mesh_r, mesh_z)
+        out = fl.lpf(f, 1.0)
         assert out.parity_r == "even" and out.parity_z == "odd"
         assert not out.values[:, 0].any() and not out.values[:, -1].any()
 
     def test_second_difference_energy_contracts(self, rng):
         # Interior second-difference energy cannot grow for constant c.
-        mesh_r, mesh_z = identity_mesh_r(24), identity_mesh_z(12)
         v = rng.standard_normal((25, 13))
         f = FieldGrid(v, "even", "odd")
 
@@ -63,7 +57,7 @@ class TestLPF:
             return (d2r**2).sum() + (d2z**2).sum()
 
         for c in (0.1, 0.5, 1.0):
-            out = fl.lpf(f, c, mesh_r, mesh_z)
+            out = fl.lpf(f, c)
             assert energy(out.values) <= energy(v) * (1.0 + 1e-12)
 
     def test_smooth_field_perturbation_second_order(self):
@@ -72,26 +66,26 @@ class TestLPF:
             mesh_r, mesh_z = identity_mesh_r(n), identity_mesh_z(n // 2)
             f = FieldGrid(np.cos(np.pi * mesh_r.nodes_y)[:, None]
                           * np.sin(2 * np.pi * mesh_z.nodes_y)[None, :], "even", "odd")
-            out = fl.lpf(f, 1.0, mesh_r, mesh_z)
+            out = fl.lpf(f, 1.0)
             errs.append(np.abs(out.values - f.values).max())
         assert 3.3 < errs[0] / errs[1] < 4.8
 
 
 class TestStrengthCL:
+    # On the 20 x 20 grid, node k sits at rho (or eta) = k / 20.
     def test_quiet_in_singular_box(self):
-        assert fl.strength_cL(0.2, 0.2) < 0.01
+        assert fl.l_shape_strength(20, 20)[4, 4] < 0.01
 
     def test_active_on_tail_band(self):
-        assert fl.strength_cL(0.65, 0.2) > 0.95
-        assert fl.strength_cL(0.2, 0.65) > 0.95
+        c = fl.l_shape_strength(20, 20)
+        assert c[13, 4] > 0.95
+        assert c[4, 13] > 0.95
 
     def test_quiet_in_far_field(self):
-        assert fl.strength_cL(0.95, 0.95) < 0.01
+        assert fl.l_shape_strength(20, 20)[19, 19] < 0.01
 
     def test_range(self):
-        rho = np.linspace(0, 1, 101)[:, None]
-        eta = np.linspace(0, 1, 101)[None, :]
-        c = fl.strength_cL(rho, eta)
+        c = fl.l_shape_strength(100, 100)
         assert c.min() >= 0.0 and c.max() <= 1.0
 
 
@@ -131,8 +125,8 @@ class TestRLPF:
         rho = mesh_r.nodes_s[:, None]
         eta = mesh_z.nodes_s[None, :]
         f = FieldGrid(rho**3 - 2 * rho * eta**2 + eta**3, None, None)
-        out, = fl.rlpf((f,), u1, mesh_r, mesh_z, k=0, N=mesh_r.n // 2, M=mesh_z.n // 2,
-                       c=fl.LShapeStrength())
+        N, M = mesh_r.n // 2, mesh_z.n // 2
+        out, = fl.rlpf((f,), u1, mesh_r, mesh_z, k=0, N=N, M=M, c=fl.l_shape_strength(N, M))
         scale = np.abs(f.values).max()
         assert np.abs(out.values - f.values).max() < 1e-4 * scale
 
@@ -153,7 +147,7 @@ class TestRLPF:
         f = FieldGrid(np.sin(2 * np.pi * mesh_r.nodes_s)[:, None]
                       * np.sin(np.pi * mesh_z.nodes_s)[None, :] ** 2, None, None)
         out, = fl.rlpf((f,), u1, mesh_r, mesh_z, k=50, N=mesh_z.n, M=mesh_z.n,
-                       c=fl.LShapeStrength())
+                       c=fl.l_shape_strength(mesh_z.n, mesh_z.n))
         assert np.isfinite(out.values).all()
         assert np.abs(out.values).max() <= np.abs(f.values).max() * 1.05
 
@@ -165,7 +159,7 @@ class TestRLPF:
         eta = mesh_z.nodes_s[None, :]
         a = FieldGrid(np.sin(3 * rho) * np.cos(np.pi * eta), "odd", "even")
         b = FieldGrid(np.cos(2 * rho) * np.sin(2 * np.pi * eta), "even", "odd")
-        args = (u1, mesh_r, mesh_z, 5, 64, 64, fl.LShapeStrength())
+        args = (u1, mesh_r, mesh_z, 5, 64, 64, fl.l_shape_strength(64, 64))
         pair = fl.rlpf((a, b), *args)
         assert [(f.parity_r, f.parity_z) for f in pair] == [("odd", "even"), ("even", "odd")]
         assert np.array_equal(pair[0].values, fl.rlpf((a,), *args)[0].values)

@@ -198,6 +198,18 @@ class TestInverse:
         assert mesh.inverse(L * (1.0 + 5e-10)) == 1.0
         assert mesh.inverse(0.0) == 0.0
 
+    def test_b_limit(self):
+        # At b = MAX_B the inverse still matches bisection to 1e-13; above
+        # it build_map refuses the map, naming b and the limit.
+        knots, targets = mm.R_KNOTS, mm.MeshTargets(1e-9, 5e-9, 1e-8, 1.0)
+        assert mm.MAX_B == 200
+        mesh = mm.build_map(knots, mm.solve_phase_coeffs(knots, targets, 200), 1.0, 256)
+        s = np.concatenate([np.random.default_rng(200).random(2000), mesh.nodes_s])
+        y = mesh.value(s)
+        assert np.abs(mesh.inverse(y) - bisect_inverse(mesh, y)).max() < 1e-13
+        with pytest.raises(ValueError, match="b = 202 exceeds the limit 200"):
+            mm.build_map(knots, mm.solve_phase_coeffs(knots, targets, 202), 1.0, 256)
+
     def test_scalar_and_array_returns(self):
         mesh = gentle_mesh_r(64)
         assert isinstance(mesh.inverse(0.3), float)

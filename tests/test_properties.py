@@ -52,24 +52,21 @@ class TestParityPreservation:
         assert fd.d2dr2(f, mesh_r).parity_r == "even"
 
     def test_discrete_odd_field_stays_odd_under_filter(self, rng):
-        mesh_r, mesh_z = identity_mesh_r(24), identity_mesh_z(12)
         v = rng.standard_normal((25, 13))
         v[:, 0] = v[:, -1] = 0.0
-        out = fl.lpf(FieldGrid(v, "even", "odd"), 1.0, mesh_r, mesh_z)
+        out = fl.lpf(FieldGrid(v, "even", "odd"), 1.0)
         assert not out.values[:, 0].any() and not out.values[:, -1].any()
 
 
 class TestFilterProperties:
     def test_constant_preserved(self):
-        mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
         f = FieldGrid(np.full((17, 9), -3.7), "even", "even")
-        assert fl.lpf(f, 1.0, mesh_r, mesh_z).values == pytest.approx(f.values)
+        assert fl.lpf(f, 1.0).values == pytest.approx(f.values)
 
     def test_nyquist_annihilated(self):
-        mesh_r, mesh_z = identity_mesh_r(32), identity_mesh_z(16)
         f = FieldGrid(np.broadcast_to((-1.0) ** np.arange(33)[:, None], (33, 17)).copy(),
                       None, None)
-        out = fl.lpf(f, 1.0, mesh_r, mesh_z)
+        out = fl.lpf(f, 1.0)
         assert np.abs(out.values[1:-1, 1:-1]).max() < 1e-14
 
 

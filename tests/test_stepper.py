@@ -148,12 +148,13 @@ class TestRhs:
         u1f_z = fd.ddz(aux.u1f, mesh_z).values
         expect_du = (-(ur * fd.ddr(aux.u1f, mesh_r).values + uz * u1f_z)
                      + 2.0 * aux.u1f.values * aux.psi_z.values
-                     + fd.diffusion_u1(aux.u1f, aux.nu, mesh_r, mesh_z).values)
+                     + fd.diffusion_u1_from(aux.u1f, fd.derivatives(aux.u1f, mesh_r, mesh_z),
+                                            aux.nu, mesh_r))
         expect_dw = (-(ur * fd.ddr(aux.w1f, mesh_r).values
                        + uz * fd.ddz(aux.w1f, mesh_z).values)
                      + 2.0 * aux.u1f.values * u1f_z
-                     + fd.diffusion_w1(aux.w1f, aux.g, aux.uz, aux.nu,
-                                       mesh_r, mesh_z).values)
+                     + fd.diffusion_w1_from(aux.w1f, fd.derivatives(aux.w1f, mesh_r, mesh_z),
+                                            aux.g, aux.uz, aux.nu, mesh_r, mesh_z))
         assert np.array_equal(du, expect_du)
         assert np.array_equal(dw, expect_dw)
 
@@ -181,8 +182,54 @@ class TestRhs:
         assert calls == {"build_map": 2, "inverse": 4}
         assert counters["rlpf_applications"] == 2
 
+    @pytest.mark.parametrize("case", [2, 3])
+    def test_constant_nu_tendencies_match_full_formula(self, case):
+        # Every nu derivative is the scalar 0 in cases 2 and 3 (and nu itself
+        # in case 3); the tendencies equal the full formula, cross terms
+        # included, bit for bit.
+        cfg = st.RunConfig(case=case, n=64, m=32, mu=1e-3)
+        spec = ph.spec_for_case(case, cfg.mu)
+        state = st.build_initial_state(cfg)
+        mesh_r, mesh_z = state.mesh_r, state.mesh_z
+        du, dw, aux = st.rhs(state.u1, state.w1, state, spec, cfg,
+                             st.omega_theta_sup(state.w1, mesh_r))
+        nu = aux.nu
+        du1, dw1, dg, duz = (fd.derivatives(f, mesh_r, mesh_z)
+                             for f in (aux.u1f, aux.w1f, aux.g, aux.uz))
+
+        def over(d):
+            return fd.over_r(d.r, mesh_r, d.rr)
+
+        def swirl(v, d):
+            return (nu.nu_r * (d.rr + 3.0 * over(d)) + nu.nu_z * d.zz
+                    + nu.nu_r_r_over_r * v + nu.nu_r_r * d.r + nu.nu_z_z * d.z)
+
+        cross = (nu.nu_r_z * (dg.rr + 3.0 * over(dg)) + nu.nu_z_z * dg.zz
+                 - nu.nu_r_r_over_r * (duz.rr + over(duz)) - nu.nu_z_r_over_r * duz.zz
+                 + nu.nu_z_zz * dg.z - nu.nu_r_rr * over(duz))
+        ur, uz, u1f = aux.ur.values, aux.uz.values, aux.u1f.values
+        expect_du = (-(ur * du1.r + uz * du1.z) + 2.0 * u1f * aux.psi_z.values
+                     + swirl(u1f, du1))
+        expect_dw = (-(ur * dw1.r + uz * dw1.z) + 2.0 * u1f * du1.z
+                     + swirl(aux.w1f.values, dw1) + cross)
+        assert np.array_equal(du, expect_du)
+        assert np.array_equal(dw, expect_dw)
+
 
 class TestStepRK2:
+    @pytest.mark.parametrize("case", [1, 4])
+    def test_first_stage_from_caller_is_bit_identical(self, case):
+        cfg = st.RunConfig(case=case, n=64, m=32, rlpf_k=5 if case == 4 else 0)
+        spec = ph.spec_for_case(case)
+        state = st.build_initial_state(cfg)
+        first = st.rhs(state.u1, state.w1, state, spec, cfg,
+                       st.omega_theta_sup(state.w1, state.mesh_r))
+        plain, report, _ = st.step_rk2(state, spec, cfg)
+        reused, reused_report, _ = st.step_rk2(state, spec, cfg, first=first)
+        assert reused_report == report
+        assert np.array_equal(reused.u1.values, plain.u1.values)
+        assert np.array_equal(reused.w1.values, plain.w1.values)
+
     def test_zero_state_stays_zero(self):
         state = small_state()
         cfg = st.RunConfig(case=3, n=64, m=32)
@@ -291,16 +338,39 @@ class TestRunLoop:
         assert np.all(np.isfinite(col)) and np.all((col > 0.0) & (col < 1e-6))
         assert col.tolist() == [r.poisson_residual for r in res.records]
 
+    @pytest.mark.parametrize("rebuild", [False, True])
+    def test_one_rhs_per_recorded_step(self, monkeypatch, rebuild):
+        # Work-count guard: each record's rhs is the next step's first stage.
+        # Four steps with a record every second take 1 + (1 + 2 + 1) * 2 = 9
+        # evaluations (11 if every record were evaluated again); rebuilding
+        # on every step records every step, 1 + 2 * 4 = 9 (13).
+        calls = []
+        real_rhs = st.rhs
+
+        def counting_rhs(*args, **kwargs):
+            calls.append(1)
+            return real_rhs(*args, **kwargs)
+
+        monkeypatch.setattr(st, "rhs", counting_rhs)
+        monkeypatch.setattr(mm, "needs_update",
+                            lambda *args: (True, "points_r") if rebuild else (False, None))
+        cfg = st.RunConfig(case=1, n=64, m=32, t_end=1.0, max_steps=4, diag_every=2)
+        res = st.run(cfg)
+        assert res.steps == 4 and res.counters["mesh_rebuilds"] == (4 if rebuild else 0)
+        assert len(res.records) == (5 if rebuild else 3)
+        assert len(calls) == 9
+
     @pytest.mark.parametrize("error", [SolveFailure("singular"), RuntimeError("bug")])
     def test_final_record_error(self, tmp_path, monkeypatch, error):
-        # One step off the cadence and no mesh rebuild: rhs calls 1-3 are the
-        # initial record and the Heun stages, call 4 is the final record.
+        # One step off the cadence and no mesh rebuild: rhs call 1 is the
+        # initial record and the step's first stage, call 2 the second
+        # stage, and call 3 the final record.
         calls = []
         real_rhs = st.rhs
 
         def failing_rhs(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 4:
+            if len(calls) == 3:
                 raise error
             return real_rhs(*args, **kwargs)
 
@@ -310,7 +380,7 @@ class TestRunLoop:
                            out_dir=str(tmp_path))
         if isinstance(error, SolveFailure):
             res = st.run(cfg)
-            assert len(calls) == 4
+            assert len(calls) == 3
             assert [r.t for r in res.records] == [0.0]
             manifest = (tmp_path / "manifest.txt").read_text().splitlines()
             assert "final_record_error: SolveFailure: singular" in manifest
