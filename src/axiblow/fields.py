@@ -63,12 +63,12 @@ def _difference(v: np.ndarray, axis: int, lo, hi, out: np.ndarray) -> np.ndarray
     The interior is one pass over the arrays flattened in C order (``out``
     is C-ordered), where a neighbour along ``axis`` is ``s`` elements away;
     the end rows it gets wrong (across rows, along the last axis) are then
-    closed by ghost rows.
+    closed by ghost rows, taken from ``(v, out)`` or their transposes.
     """
     s = out.strides[axis] // out.itemsize
     flat = v.ravel()
     np.subtract(flat[2 * s:], flat[:-2 * s], out=out.ravel()[s:-s])
-    e, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    e, o = (v, out) if axis == 0 else (v.T, out.T)
     o[0] = e[1] - _ghost(e, lo)
     o[-1] = _ghost(e[::-1], hi) - e[-2]
     return out
@@ -81,7 +81,7 @@ def _second_difference(v: np.ndarray, axis: int, lo, hi, out: np.ndarray) -> np.
     np.multiply(flat[s:-s], -2.0, out=inner)
     inner += flat[2 * s:]
     inner += flat[:-2 * s]
-    e, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    e, o = (v, out) if axis == 0 else (v.T, out.T)
     o[0] = e[1] - 2.0 * e[0] + _ghost(e, lo)
     o[-1] = _ghost(e[::-1], hi) - 2.0 * e[-1] + e[-2]
     return out

@@ -6,21 +6,24 @@ form: find psi in V_h with
     a(psi, phi) = int (psi_rho phi_rho / r_rho^2 + psi_eta phi_eta / z_eta^2)
                   r^3 r_rho z_eta  drho deta  =  int omega phi r^3 r_rho z_eta
 
-for all phi in V_h.  V_h is a tensor product of uniform B-splines of even
-order k, symmetrized to be even at rho = 0 and odd at both eta ends, and
-multiplied in rho by the weight w(rho) = (1 - rho)^p that enforces the
+for all phi in V_h.  V_h is a tensor product of uniform hats (order-2
+B-splines), symmetrized to be even at rho = 0 and odd at both eta ends,
+and multiplied in rho by the weight w(rho) = (1 - rho)^p that enforces the
 no-flow wall value.  The r^3 measure absorbs the 3/r first-order term, so
 the stiffness matrix is symmetric positive definite and Kronecker
 separable,
 
     A = K_rho (x) M_eta + M_rho (x) K_eta,
 
-with four banded 1-D matrices.  A is never formed.  It is solved by fast
-diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199):
-once per mesh pair, the eta pencil K_eta V = M_eta V diag(lam) is solved
-densely and every rho system K_rho + lam_j M_rho is band-factored.  A
-solve is then the load in modal form F V, one forward and one back band
-sweep acting on all modes at once, and the nodal evaluation.  The load
+with four tridiagonal 1-D matrices.  A is never formed.  It is solved by
+fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964)
+185-199): once per mesh pair, the eta pencil K_eta V = M_eta V diag(lam)
+is solved densely, and the tridiagonal rho systems K_rho + lam_j M_rho of
+all modes, stacked into one block-diagonal system, get one LAPACK
+``dpttrf`` factorization.  A solve is then the load in modal form V^T F^T,
+one ``dpttrs`` call that gives the modal coefficients X of all modes at
+once, the coefficients C = X^T V^T, and the nodal evaluation, which for
+hats is a row scaling of C by the wall weight.  The load
 F = L_rho^T W L_eta integrates the bilinear interpolant of the nodal
 omega W against the basis.
 """
@@ -66,48 +69,46 @@ def bspline_deriv(k: int, x):
 
 
 class _RhoBasis:
-    """Even-symmetrized splines B_i = (b_i(rho) + b_i(-rho)) / (1 + delta_i0)."""
+    """Even-symmetrized hats B_i = (b_i(rho) + b_i(-rho)) / (1 + delta_i0), i = 0..n."""
 
-    def __init__(self, k: int, n: int):
-        self.k, self.n, self.h = k, n, 1.0 / n
-        self.count = n + k // 2
+    def __init__(self, n: int):
+        self.n, self.h = n, 1.0 / n
+        self.count = n + 1
         self.index_base = 0
 
     def _scale(self, i):
         return np.where(np.asarray(i) == 0, 0.5, 1.0)
 
     def value(self, i, rho):
-        sh = np.asarray(i) - self.k / 2.0
-        raw = bspline_eval(self.k, rho / self.h - sh) \
-            + bspline_eval(self.k, -rho / self.h - sh)
+        sh = np.asarray(i) - 1.0
+        raw = bspline_eval(2, rho / self.h - sh) + bspline_eval(2, -rho / self.h - sh)
         return self._scale(i) * raw
 
     def deriv(self, i, rho):
-        sh = np.asarray(i) - self.k / 2.0
-        raw = bspline_deriv(self.k, rho / self.h - sh) \
-            - bspline_deriv(self.k, -rho / self.h - sh)
+        sh = np.asarray(i) - 1.0
+        raw = bspline_deriv(2, rho / self.h - sh) - bspline_deriv(2, -rho / self.h - sh)
         return self._scale(i) * raw / self.h
 
 
 class _EtaBasis:
-    """Odd-symmetrized splines B_j = b_j(eta) - b_j(-eta) - b_j(2-eta), j = 1..m-1."""
+    """Odd-symmetrized hats B_j = b_j(eta) - b_j(-eta) - b_j(2-eta), j = 1..m-1."""
 
-    def __init__(self, k: int, m: int):
-        self.k, self.m, self.h = k, m, 1.0 / m
+    def __init__(self, m: int):
+        self.m, self.h = m, 1.0 / m
         self.count = m - 1
         self.index_base = 1
 
     def value(self, j, eta):
-        sh = np.asarray(j) - self.k / 2.0
-        return (bspline_eval(self.k, eta / self.h - sh)
-                - bspline_eval(self.k, -eta / self.h - sh)
-                - bspline_eval(self.k, (2.0 - eta) / self.h - sh))
+        sh = np.asarray(j) - 1.0
+        return (bspline_eval(2, eta / self.h - sh)
+                - bspline_eval(2, -eta / self.h - sh)
+                - bspline_eval(2, (2.0 - eta) / self.h - sh))
 
     def deriv(self, j, eta):
-        sh = np.asarray(j) - self.k / 2.0
-        return (bspline_deriv(self.k, eta / self.h - sh)
-                + bspline_deriv(self.k, -eta / self.h - sh)
-                + bspline_deriv(self.k, (2.0 - eta) / self.h - sh)) / self.h
+        sh = np.asarray(j) - 1.0
+        return (bspline_deriv(2, eta / self.h - sh)
+                + bspline_deriv(2, -eta / self.h - sh)
+                + bspline_deriv(2, (2.0 - eta) / self.h - sh)) / self.h
 
 
 # Wall weight w(rho) = (1 - rho)^p.  p = 1 (distance-like) preserves full
@@ -135,19 +136,17 @@ def _cell_quadrature(ncells: int):
 
 
 def _basis_tables(basis, xg, weighted=False):
-    """Evaluate candidate splines i = cell - k + 1 + l on every cell.
+    """Evaluate the two hats i = cell + l (l = 0, 1) that overlap every cell.
 
-    Returns (cand, vals, dvals): cand[a] is the first candidate index of
-    cell a, vals[l] / dvals[l] have shape (ncells, q).  Candidates outside
-    the valid index range evaluate to harmless zeros and are masked later.
+    Returns (cand, vals, dvals): cand[a] = a is the first hat index of
+    cell a, vals[l] / dvals[l] have shape (ncells, q).  Hats outside the
+    valid index range evaluate to harmless zeros and are masked later.
     """
-    k = basis.k
-    ncells = xg.shape[0]
-    cand = np.arange(ncells) - k + 1
+    cand = np.arange(xg.shape[0])
     vals, dvals = [], []
     w = _weight(xg) if weighted else 1.0
     dw = _weight_deriv(xg) if weighted else 0.0
-    for l in range(2 * k):
+    for l in range(2):
         i = (cand + l)[:, None]
         b = basis.value(i, xg)
         vals.append(w * b)
@@ -176,39 +175,17 @@ def _cell_matrix(first_a, count_a, vals_a, first_b, count_b, vals_b, weight):
         shape=(count_a, count_b)).tocsr()
 
 
-def _eval_matrix(basis, nodes, weighted=False):
-    """Sparse nodal evaluation operator E[node, basis] (storage 0-based)."""
-    k, base, count = basis.k, basis.index_base, basis.count
-    npts = len(nodes)
-    wt = _weight(nodes) if weighted else 1.0
-    rows, cols, data = [], [], []
-    for off in range(-k, k + 1):
-        i = np.arange(npts) + off
-        ok = (i - base >= 0) & (i - base < count)
-        vals = wt * basis.value(i, nodes)
-        ok &= vals != 0.0
-        rows.append(np.arange(npts)[ok])
-        cols.append((i - base)[ok])
-        data.append(np.asarray(vals)[ok])
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(npts, count)).tocsr()
-
-
 class GalerkinSystem:
     """Fast-diagonalization Poisson operator for one mesh pair."""
 
     assembly_count = 0  # class-wide; lets tests confirm factorization reuse
 
-    def __init__(self, mesh_r: MeshMap, mesh_z: MeshMap, k: int = 2):
-        if k % 2 != 0 or k < 2:
-            raise ValueError("spline order k must be even and >= 2")
+    def __init__(self, mesh_r: MeshMap, mesh_z: MeshMap):
         GalerkinSystem.assembly_count += 1
-        self.mesh_r, self.mesh_z, self.k = mesh_r, mesh_z, k
+        self.mesh_r, self.mesh_z = mesh_r, mesh_z
         n, m = mesh_r.n, mesh_z.n
-        self._rb = _RhoBasis(k, n)
-        self._eb = _EtaBasis(k, m)
-        nb_r, nb_z = self._rb.count, self._eb.count
+        rb, eb = _RhoBasis(n), _EtaBasis(m)
+        nb_r, nb_z = rb.count, eb.count
 
         xg_r, wg_r = _cell_quadrature(n)
         xg_z, wg_z = _cell_quadrature(m)
@@ -216,9 +193,9 @@ class GalerkinSystem:
         r_rho = mesh_r.deriv(xg_r)
         z_eta = mesh_z.deriv(xg_z)
 
-        cand_r, val_r, dval_r = _basis_tables(self._rb, xg_r, weighted=True)
-        cand_z, val_z, dval_z = _basis_tables(self._eb, xg_z)
-        first_r, first_z = cand_r - self._rb.index_base, cand_z - self._eb.index_base
+        cand_r, val_r, dval_r = _basis_tables(rb, xg_r, weighted=True)
+        cand_z, val_z, dval_z = _basis_tables(eb, xg_z)
+        first_r, first_z = cand_r - rb.index_base, cand_z - eb.index_base
 
         def band(first, count, vals_a, vals_b, weight):
             return _cell_matrix(first, count, vals_a, first, count, vals_b, weight)
@@ -240,44 +217,30 @@ class GalerkinSystem:
                                  first_z, nb_z, val_z, wg_z * z_eta)
 
         # K_eta V = M_eta V diag(lam) with V^T M_eta V = I turns A c = f
-        # into one rho system (K_rho + lam_j M_rho) d_j = (F V)_j per mode.
+        # into one rho system (K_rho + lam_j M_rho) x_j = (V^T F^T)_j per mode.
         try:
             lam, V = scipy.linalg.eigh(self.K_eta.toarray(), self.M_eta.toarray())
         except np.linalg.LinAlgError as exc:
             raise AssemblyFailure(f"eta pencil (K_eta, M_eta) is not definite: {exc}") from exc
         self._V = V
         self._LeV = self._L_e @ V
-        self._EeV = _eval_matrix(self._eb, mesh_z.nodes_s) @ V
-        self._E_rho = _eval_matrix(self._rb, mesh_r.nodes_s, weighted=True)
-        self._factor_rho(lam)
+        # The hats are the identity at the nodes, so nodal psi off the wall
+        # is the wall weight times the coefficients.
+        self._wall_weight = _weight(mesh_r.nodes_s[:-1])[:, None]
 
-    def _factor_rho(self, lam):
-        """Root-free band Cholesky L D L^T of every rho system, all modes at once.
-
-        Half-bandwidth b = k - 1; _L[s - 1, i, j] = L[i, i - s] of mode j.
-        """
-        b, nb_r = self.k - 1, self._rb.count
-        S = np.zeros((b + 1, nb_r, len(lam)))
-        for s in range(b + 1):
-            S[s, s:] = (self.K_rho.diagonal(-s)[:, None]
-                        + self.M_rho.diagonal(-s)[:, None] * lam[None, :])
-        L = np.zeros((b, nb_r, len(lam)))
-        D = np.empty((nb_r, len(lam)))
-        for i in range(nb_r):
-            for q in range(min(b, i), 0, -1):
-                u = S[q, i].copy()
-                for s in range(q + 1, min(b, i) + 1):
-                    u -= L[s - 1, i] * D[i - s] * L[s - q - 1, i - q]
-                L[q - 1, i] = u / D[i - q]
-            D[i] = S[0, i]
-            for s in range(1, min(b, i) + 1):
-                D[i] -= L[s - 1, i] ** 2 * D[i - s]
-        bad = ~(D > 0.0)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        # Every rho system is tridiagonal SPD.  Stacked mode by mode into one
+        # block-diagonal system (zero coupling across block edges), all
+        # modes share one L D L^T factorization and one solve.
+        d = self.K_rho.diagonal() + lam[:, None] * self.M_rho.diagonal()
+        e = np.zeros((nb_z, nb_r))
+        e[:, :-1] = self.K_rho.diagonal(1) + lam[:, None] * self.M_rho.diagonal(1)
+        d, e, info = scipy.linalg.lapack.dpttrf(d.ravel(), e.ravel()[:-1],
+                                                overwrite_d=True, overwrite_e=True)
+        if info > 0:
+            j, i = divmod(info - 1, nb_r)
             raise AssemblyFailure(f"rho system K_rho + lam_j M_rho of mode j = {j} is not "
-                                  f"positive definite (pivot {D[i, j]:.3e} at row {i})")
-        self._L, self._D_inv = L, 1.0 / D
+                                  f"positive definite (pivot {d[info - 1]:.3e} at row {i})")
+        self._d, self._e = d, e
 
     def solve(self, w1) -> FieldGrid:
         """Solve for psi given nodal omega (odd in z); returns nodal psi.
@@ -286,25 +249,23 @@ class GalerkinSystem:
         in z, zero on the wall r = 1 and on both axial symmetry rows.
         """
         w = w1.values if isinstance(w1, FieldGrid) else np.asarray(w1)
+        self._last = None                       # the old H and C never live beside the new
         H = self._L_rT @ w
-        Y = H @ self._LeV                       # load F V, one column per mode
-        b, L, nb_r = self.k - 1, self._L, self._rb.count
-        for i in range(1, nb_r):
-            for s in range(1, min(b, i) + 1):
-                Y[i] -= L[s - 1, i] * Y[i - s]
-        Y *= self._D_inv
-        for i in range(nb_r - 2, -1, -1):
-            for s in range(1, min(b, nb_r - 1 - i) + 1):
-                Y[i] -= L[s - 1, i + s] * Y[i + s]
-        if not np.all(np.isfinite(Y)):
+        X = self._LeV.T @ H.T                   # modal load V^T F^T, one row per mode
+        X = scipy.linalg.lapack.dpttrs(self._d, self._e, X.reshape(-1),
+                                       overwrite_b=True)[0].reshape(X.shape)
+        if not np.all(np.isfinite(X)):
             raise SolveFailure("linear solve produced non-finite coefficients")
-        self._last = (H, Y)
-        return FieldGrid((self._E_rho @ Y) @ self._EeV.T, "even", "odd")
+        C = X.T @ self._V.T
+        self._last = (H, C)
+        psi = np.zeros(w.shape)
+        np.multiply(self._wall_weight, C[:-1], out=psi[:-1, 1:-1])
+        return FieldGrid(psi, "even", "odd")
 
     def last_system(self):
         """Coefficients C and load F of the most recent solve, each (nb_r, nb_z)."""
-        H, Y = self._last
-        return Y @ self._V.T, H @ self._L_e
+        H, C = self._last
+        return C, H @ self._L_e
 
     def last_residual(self) -> float:
         """||A c - f|| / ||f|| of the most recent solve (0 for a zero load).
@@ -317,5 +278,5 @@ class GalerkinSystem:
         return float(np.linalg.norm(R) / fnorm) if fnorm else 0.0
 
 
-def assemble(mesh_r: MeshMap, mesh_z: MeshMap, k: int = 2) -> GalerkinSystem:
-    return GalerkinSystem(mesh_r, mesh_z, k=k)
+def assemble(mesh_r: MeshMap, mesh_z: MeshMap) -> GalerkinSystem:
+    return GalerkinSystem(mesh_r, mesh_z)

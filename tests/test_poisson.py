@@ -84,10 +84,9 @@ class TestAssembly:
         # (no Kronecker split, no banding) with the same defining composite
         # 6-point rule per knot interval.
         mesh_r, mesh_z = gentle_mesh_r(12), gentle_mesh_z(6)
-        k = 2
-        sys_ = ps.assemble(mesh_r, mesh_z, k=k)
-        rb = ps._RhoBasis(k, mesh_r.n)
-        eb = ps._EtaBasis(k, mesh_z.n)
+        sys_ = ps.assemble(mesh_r, mesh_z)
+        rb = ps._RhoBasis(mesh_r.n)
+        eb = ps._EtaBasis(mesh_z.n)
 
         gx, gw = np.polynomial.legendre.leggauss(6)
 
@@ -173,16 +172,6 @@ class TestSolve:
         # last_residual is ||A c - f|| / ||f||
         assert sys_.last_residual() < 1e-10
 
-    def test_quartic_order_still_solves(self):
-        # k = 4 assembles SPD and solves; without a boundary-extended
-        # (WEB-style) basis its wall-cell accuracy trails k = 2, so only a
-        # coarse error bound is asserted.  Production runs use k = 2.
-        mesh_r, mesh_z = identity_mesh_r(32), identity_mesh_z(16)
-        sys_ = ps.assemble(mesh_r, mesh_z, k=4)
-        psi = sys_.solve(manufactured_rhs(mesh_r, mesh_z))
-        err = np.abs(psi.values - manufactured_psi(mesh_r, mesh_z)).max()
-        assert err < 2e-2
-
     def test_accepts_field_grid(self):
         mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
         sys_ = ps.assemble(mesh_r, mesh_z)
@@ -211,18 +200,21 @@ class _FlippedMetric:
         return -self._mesh.deriv(s)
 
 
+def _pair(name, initial_meshes):
+    """A mesh pair and a vorticity: gentle maps at 24x12 or the initial 64x32 pair."""
+    if name == "gentle":
+        return gentle_mesh_r(24), gentle_mesh_z(12), \
+            np.random.default_rng(8).standard_normal((25, 13))
+    return initial_meshes
+
+
 class TestFastDiagonalization:
-    @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("pair", ["gentle", "initial"])
-    def test_coefficients_match_dense_kronecker_solve(self, k, pair, initial_meshes):
+    def test_coefficients_match_dense_kronecker_solve(self, pair, initial_meshes):
         # Independent path: the dense 2-D matrix built here from the four
-        # 1-D matrices and solved by LU, against the modal band sweeps.
-        if pair == "gentle":
-            mesh_r, mesh_z = gentle_mesh_r(24), gentle_mesh_z(12)
-            w = np.random.default_rng(8).standard_normal((25, 13))
-        else:
-            mesh_r, mesh_z, w = initial_meshes
-        sys_ = ps.assemble(mesh_r, mesh_z, k=k)
+        # 1-D matrices and solved by LU, against the stacked modal solve.
+        mesh_r, mesh_z, w = _pair(pair, initial_meshes)
+        sys_ = ps.assemble(mesh_r, mesh_z)
         sys_.solve(w)
         C, F = sys_.last_system()
         A = (np.kron(sys_.K_rho.toarray(), sys_.M_eta.toarray())
@@ -230,14 +222,13 @@ class TestFastDiagonalization:
         ref = np.linalg.solve(A, F.ravel()).reshape(C.shape)
         assert np.abs(C - ref).max() < 1e-9 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_residual_of_scaled_coefficients(self, k):
+    def test_residual_of_scaled_coefficients(self):
         # c -> 1.5 c makes A c - f = 0.5 f up to the solve's own residual,
         # so the Kronecker matvec must give a relative residual of 0.5.
-        sys_ = ps.assemble(gentle_mesh_r(24), gentle_mesh_z(12), k=k)
+        sys_ = ps.assemble(gentle_mesh_r(24), gentle_mesh_z(12))
         sys_.solve(np.random.default_rng(10).standard_normal((25, 13)))
-        load, modal = sys_._last
-        sys_._last = (load, 1.5 * modal)
+        load, C = sys_._last
+        sys_._last = (load, 1.5 * C)
         assert sys_.last_residual() == pytest.approx(0.5, rel=1e-9)
 
     def test_load_matches_flat_quadrature(self):
@@ -258,7 +249,7 @@ class TestFastDiagonalization:
 
         xr, wr, hr = axis(mesh_r)
         xz, wz, hz = axis(mesh_z)
-        rb, eb = ps._RhoBasis(2, mesh_r.n), ps._EtaBasis(2, mesh_z.n)
+        rb, eb = ps._RhoBasis(mesh_r.n), ps._EtaBasis(mesh_z.n)
         phi_r = np.stack([ps._weight(xr) * rb.value(i, xr) for i in range(rb.count)], 1)
         phi_z = np.stack([eb.value(j, xz) for j in range(1, eb.count + 1)], 1)
         omega = hr @ w @ hz.T
@@ -274,3 +265,34 @@ class TestFastDiagonalization:
     def test_indefinite_rho_system_names_mode(self):
         with pytest.raises(AssemblyFailure, match=r"rho system .* mode j = 0 "):
             ps.assemble(_FlippedMetric(identity_mesh_r(8)), identity_mesh_z(4))
+
+    @pytest.mark.parametrize("pair", ["gentle", "initial"])
+    def test_nodal_psi_matches_basis_evaluation(self, pair, initial_meshes):
+        # Independent path: the weighted basis functions evaluated at every
+        # node from their definitions, applied to the coefficients.
+        mesh_r, mesh_z, w = _pair(pair, initial_meshes)
+        sys_ = ps.assemble(mesh_r, mesh_z)
+        psi = sys_.solve(w).values
+        C, _ = sys_.last_system()
+        rho, eta = mesh_r.nodes_s, mesh_z.nodes_s
+        rb, eb = ps._RhoBasis(mesh_r.n), ps._EtaBasis(mesh_z.n)
+        E_r = np.stack([ps._weight(rho) * rb.value(i, rho) for i in range(rb.count)], 1)
+        E_z = np.stack([eb.value(j, eta) for j in range(1, eb.count + 1)], 1)
+        ref = E_r @ C @ E_z.T
+        assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert not psi[-1].any()
+        assert not psi[:, 0].any() and not psi[:, -1].any()
+
+    def test_indefinite_rho_system_names_later_mode(self, monkeypatch):
+        # Only mode 3's rho system is indefinite: its first pivot in the
+        # stacked system is row 0 of block 3.
+        eigh = ps.scipy.linalg.eigh
+
+        def one_bad_mode(a, b):
+            lam, V = eigh(a, b)
+            lam[3] = -1e12
+            return lam, V
+
+        monkeypatch.setattr(ps.scipy.linalg, "eigh", one_bad_mode)
+        with pytest.raises(AssemblyFailure, match=r"rho system .* mode j = 3 .* at row 0\)"):
+            ps.assemble(identity_mesh_r(8), identity_mesh_z(8))
