@@ -62,9 +62,6 @@ def build_run_config(file_values=None, overrides=None):
         try:
             if name == "snap_times":
                 return tuple(float(x) for x in raw.replace(",", " ").split())
-            if name == "rlpf_nm":
-                a, b = (int(x) for x in raw.replace(",", " ").split())
-                return (a, b)
             if name == "out_dir":
                 return str(raw)
             if name == "max_steps":
@@ -96,7 +93,10 @@ def build_run_config(file_values=None, overrides=None):
 
     if init_kwargs:
         kwargs["init"] = InitialDataParams(**init_kwargs)
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad run configuration: {exc}") from exc
 
 
 def _add_run_flags(p):

@@ -74,10 +74,7 @@ def rlpf(fs: tuple, u1_current: np.ndarray, mesh_r: mm.MeshMap, mesh_z: mm.MeshM
     returned in order.  k = 0 performs the bare interpolation round trip
     (exact on bicubics).
     """
-    tr = mm.derive_targets(u1_current, mesh_r, mesh_z, "r")
-    tz = mm.derive_targets(u1_current, mesh_r, mesh_z, "z")
-    coarse_r = mm.build_map(mm.R_KNOTS, mm.solve_phase_coeffs(mm.R_KNOTS, tr), 1.0, N)
-    coarse_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(mm.Z_KNOTS, tz), 0.5, M)
+    coarse_r, coarse_z = mm.build_pair(*mm.derive_targets(u1_current, mesh_r, mesh_z), N, M)
     down = mm.pull_back_nodes(mesh_r, mesh_z, coarse_r, coarse_z)
     up = mm.pull_back_nodes(coarse_r, coarse_z, mesh_r, mesh_z)
     out = []

@@ -108,18 +108,22 @@ def fit_model1(series: TimeSeries, window: tuple) -> FitResult:
     return FitResult(float(c), float(T), float(r2), 1, tuple(window))
 
 
-def fit_model2(series: TimeSeries, window: tuple, c_init: float,
-               half_span: float = 0.1, grid: int = 100,
-               max_recenter: int = 50, refine_floor: float = 2e-5) -> FitResult:
+# The grid search of fit_model2.
+HALF_SPAN = 0.1
+GRID = 100
+REFINE_FLOOR = 2e-5
+MAX_ROUNDS = 50
+
+
+def fit_model2(series: TimeSeries, window: tuple, c_init: float) -> FitResult:
     """Power-transform regression with a local R^2 grid search around c_init.
 
-    Scans ``grid`` uniform candidates on [c - half_span, c + half_span];
-    when the winner sits on an endpoint the grid is re-centered there and
+    Scans GRID uniform candidates on [c - HALF_SPAN, c + HALF_SPAN]; when
+    the winner sits on an endpoint the grid is re-centered there and
     scanned again.  An interior winner triggers bounded zoom rounds that
     shrink the span around it until the grid spacing drops below
-    ``refine_floor``, so clean power-law data resolve the rate well past
-    the coarse 2e-3 granularity.  All rounds count against
-    ``max_recenter``.
+    REFINE_FLOOR, so clean power-law data resolve the rate well past the
+    coarse 2e-3 granularity.  All rounds count against MAX_ROUNDS.
     """
     sub = series.window(*window)
     if len(sub.t) < 8:
@@ -127,9 +131,9 @@ def fit_model2(series: TimeSeries, window: tuple, c_init: float,
     if c_init <= 0.0:
         raise ValueError("c_init must be positive")
     center = float(c_init)
-    span = float(half_span)
-    for _ in range(max_recenter):
-        cands = np.linspace(center - span, center + span, grid)
+    span = HALF_SPAN
+    for _ in range(MAX_ROUNDS):
+        cands = np.linspace(center - span, center + span, GRID)
         cands = cands[cands > 1e-6]
         best = None
         for c in cands:
@@ -142,13 +146,13 @@ def fit_model2(series: TimeSeries, window: tuple, c_init: float,
         if c in (cands[0], cands[-1]):
             continue
         spacing = cands[1] - cands[0]
-        if spacing > refine_floor:
+        if spacing > REFINE_FLOOR:
             span = 2.5 * spacing
             continue
         if a >= 0.0:
             raise DegenerateFit(f"no blowup trend: fitted slope {a:.3g} >= 0")
         return FitResult(float(c), float(-b / a), float(r2), 2, tuple(window))
-    raise NonConvergent(f"grid re-centering did not settle after {max_recenter} rounds")
+    raise NonConvergent(f"grid re-centering did not settle after {MAX_ROUNDS} rounds")
 
 
 # Scaling relations implied by the two-scale self-similar balance: the

@@ -371,13 +371,21 @@ def targets_from_features(f: ProfileFeatures, axis: str) -> MeshTargets:
     raise ValueError(f"axis must be 'r' or 'z', got {axis!r}")
 
 
-def derive_targets(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap, axis: str) -> MeshTargets:
-    """Phase targets adapted to the current solution on its mesh pair."""
-    return targets_from_features(profile_features(u1, mesh_r, mesh_z), axis)
+def derive_targets(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap):
+    """Radial and axial phase targets adapted to the current solution on its
+    mesh pair, from one front location."""
+    f = profile_features(u1, mesh_r, mesh_z)
+    return targets_from_features(f, "r"), targets_from_features(f, "z")
 
 
-def needs_update(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap,
-                 n_min_r: int = MIN_POINTS_R, n_min_z: int = MIN_POINTS_Z):
+def build_pair(targets_r: MeshTargets, targets_z: MeshTargets, n: int, m: int):
+    """The radial map (n cells onto [0, 1]) and the axial map (m cells onto
+    [0, 1/2]) that hit a pair of phase targets."""
+    return (build_map(R_KNOTS, solve_phase_coeffs(R_KNOTS, targets_r), 1.0, n),
+            build_map(Z_KNOTS, solve_phase_coeffs(Z_KNOTS, targets_z), 0.5, m))
+
+
+def needs_update(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap):
     """Check the mesh-rebuild criteria against the current solution.
 
     Returns (flag, reason) with reason one of 'front_r', 'front_z',
@@ -398,10 +406,10 @@ def needs_update(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap,
     if 1.5 * f.Z > z_hi:
         return True, "front_z"
     ry = mesh_r.nodes_y
-    if int(np.count_nonzero((ry >= f.R_r) & (ry <= f.R))) < n_min_r:
+    if int(np.count_nonzero((ry >= f.R_r) & (ry <= f.R))) < MIN_POINTS_R:
         return True, "points_r"
     zy = mesh_z.nodes_y
-    if int(np.count_nonzero(zy <= f.Z)) < n_min_z:
+    if int(np.count_nonzero(zy <= f.Z)) < MIN_POINTS_Z:
         return True, "points_z"
     return False, None
 

@@ -60,28 +60,41 @@ class Checkpoint:
 
 
 def read_checkpoint(path) -> Checkpoint:
+    """Load a checkpoint; a malformed file raises ValueError naming the path
+    and the missing field or marker."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    head, _, rest = blob.partition(b"\ndata:\n")
+    if not blob.startswith(f"{_MAGIC}\n".encode()):
+        raise ValueError(f"{path} is not a checkpoint file (no {_MAGIC} line)")
+    head, found, rest = blob.partition(b"\ndata:\n")
+    if not found:
+        raise ValueError(f"{path}: checkpoint has no 'data:' marker")
     lines = head.decode().splitlines()
-    if lines[0] != _MAGIC:
-        raise ValueError(f"{path} is not a checkpoint file")
     meta = {}
-    mesh_texts = []
+    meshes = {}
     i = 1
     while i < len(lines):
         line = lines[i]
-        if line.endswith(":") and line[:-1] in ("mesh_r", "mesh_z"):
-            j = lines.index("end_mesh", i)
-            mesh_texts.append("\n".join(lines[i + 1:j]))
+        if line in ("mesh_r:", "mesh_z:"):
+            j = next((k for k in range(i + 1, len(lines))
+                      if lines[k] in ("end_mesh", "mesh_r:", "mesh_z:")), len(lines))
+            if j == len(lines) or lines[j] != "end_mesh":
+                raise ValueError(f"{path}: checkpoint header has no 'end_mesh' after {line!r}")
+            meshes[line[:-1]] = "\n".join(lines[i + 1:j])
             i = j + 1
             continue
         key, _, val = line.partition(":")
         meta[key.strip()] = val.strip()
         i += 1
-    n, m = int(meta["n"]), int(meta["m"])
-    mesh_r = mm.parse_mesh(mesh_texts[0])
-    mesh_z = mm.parse_mesh(mesh_texts[1])
+    try:
+        t, case = float(meta["t"]), int(meta["case"])
+        n, m = int(meta["n"]), int(meta["m"])
+        mesh_r = mm.parse_mesh(meshes["mesh_r"])
+        mesh_z = mm.parse_mesh(meshes["mesh_z"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint header has no {exc.args[0]!r} field") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad checkpoint header value: {exc}") from exc
     count = (n + 1) * (m + 1)
     if len(rest) != 16 * count:
         raise ValueError(f"{path}: checkpoint payload has {len(rest)} bytes, "
@@ -89,7 +102,7 @@ def read_checkpoint(path) -> Checkpoint:
     flat = np.frombuffer(rest, dtype="<f8")
     u1 = FieldGrid(flat[:count].reshape(n + 1, m + 1).copy(), "even", "odd")
     w1 = FieldGrid(flat[count:].reshape(n + 1, m + 1).copy(), "even", "odd")
-    return Checkpoint(float(meta["t"]), int(meta["case"]), u1, w1, mesh_r, mesh_z)
+    return Checkpoint(t, case, u1, w1, mesh_r, mesh_z)
 
 
 class DiagnosticsWriter:

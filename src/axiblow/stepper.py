@@ -45,12 +45,9 @@ class RunConfig:
     cfl: float = 0.1
     mu: float = 1e-5                 # case 2 only
     rlpf_k: int = 0                  # case 4: filter passes per evaluation
-    rlpf_nm: tuple | None = None     # case 4 coarse mesh, default (m, m)
     diag_every: int = 20
     ckpt_every: int = 0              # steps between checkpoints, 0 = off
     snap_times: tuple = ()
-    n_min_r: int = mm.MIN_POINTS_R
-    n_min_z: int = mm.MIN_POINTS_Z
     max_steps: int | None = None
     out_dir: str | None = None
     init: ph.InitialDataParams = field(default_factory=ph.InitialDataParams)
@@ -60,6 +57,12 @@ class RunConfig:
             raise ValueError("cfl must lie in (0, 1)")
         if self.case not in (1, 2, 3, 4):
             raise ValueError(f"unknown case {self.case}")
+        if self.diag_every < 1:
+            raise ValueError(f"diag_every must be >= 1, got {self.diag_every}")
+        if self.ckpt_every < 0:
+            raise ValueError(f"ckpt_every must be >= 0, got {self.ckpt_every}")
+        if self.rlpf_k < 0:
+            raise ValueError(f"rlpf_k must be >= 0, got {self.rlpf_k}")
 
 
 @dataclass
@@ -114,9 +117,9 @@ def rhs(u1: FieldGrid, w1: FieldGrid, state: SolutionState, spec: ph.DiffusionSp
     psi_r = fd.ddr(psi, mesh_r)
     psi_z = fd.ddz(psi, mesh_z)
     if cfg.case == 4 and cfg.rlpf_k > 0:
-        N, M = cfg.rlpf_nm if cfg.rlpf_nm else (mesh_z.n, mesh_z.n)
+        m = mesh_z.n
         psi_r, psi_z = fl.rlpf((psi_r, psi_z), u1.values, mesh_r, mesh_z,
-                               cfg.rlpf_k, N, M, fl.l_shape_strength(N, M))
+                               cfg.rlpf_k, m, m, fl.l_shape_strength(m, m))
         if counters is not None:
             counters["rlpf_applications"] = counters.get("rlpf_applications", 0) + 2
     psi_r = fl.lpf(psi_r, 1.0)
@@ -203,10 +206,8 @@ def step_rk2(state: SolutionState, spec: ph.DiffusionSpec, cfg: RunConfig,
 
 def rebuild_meshes(state: SolutionState, cfg: RunConfig) -> SolutionState:
     """Re-derive the adaptive maps from the current swirl and move the state."""
-    tr = mm.derive_targets(state.u1.values, state.mesh_r, state.mesh_z, "r")
-    tz = mm.derive_targets(state.u1.values, state.mesh_r, state.mesh_z, "z")
-    mesh_r = mm.build_map(mm.R_KNOTS, mm.solve_phase_coeffs(mm.R_KNOTS, tr), 1.0, cfg.n)
-    mesh_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(mm.Z_KNOTS, tz), 0.5, cfg.m)
+    mesh_r, mesh_z = mm.build_pair(
+        *mm.derive_targets(state.u1.values, state.mesh_r, state.mesh_z), cfg.n, cfg.m)
     rho, eta = mm.pull_back_nodes(state.mesh_r, state.mesh_z, mesh_r, mesh_z)
     u1 = FieldGrid(mm.evaluate_ip4(state.u1.values, rho, eta, "even", "odd"), "even", "odd")
     w1 = FieldGrid(mm.evaluate_ip4(state.w1.values, rho, eta, "even", "odd"), "even", "odd")
@@ -242,16 +243,12 @@ def build_initial_state(cfg: RunConfig) -> SolutionState:
     rebuilt from them, so the run starts with the update criteria green.
     """
     feats = _initial_feature_guess(cfg.init)
-    mesh_r = mm.build_map(mm.R_KNOTS, mm.solve_phase_coeffs(
-        mm.R_KNOTS, mm.targets_from_features(feats, "r")), 1.0, cfg.n)
-    mesh_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(
-        mm.Z_KNOTS, mm.targets_from_features(feats, "z")), 0.5, cfg.m)
+    mesh_r, mesh_z = mm.build_pair(mm.targets_from_features(feats, "r"),
+                                   mm.targets_from_features(feats, "z"), cfg.n, cfg.m)
     for _ in range(2):
         u1, _ = ph.initial_fields(cfg.init, mesh_r, mesh_z)
-        tr = mm.derive_targets(u1.values, mesh_r, mesh_z, "r")
-        tz = mm.derive_targets(u1.values, mesh_r, mesh_z, "z")
-        mesh_r = mm.build_map(mm.R_KNOTS, mm.solve_phase_coeffs(mm.R_KNOTS, tr), 1.0, cfg.n)
-        mesh_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(mm.Z_KNOTS, tz), 0.5, cfg.m)
+        mesh_r, mesh_z = mm.build_pair(*mm.derive_targets(u1.values, mesh_r, mesh_z),
+                                       cfg.n, cfg.m)
     u1, w1 = ph.initial_fields(cfg.init, mesh_r, mesh_z)
     system = ps.assemble(mesh_r, mesh_z)
     psi = system.solve(fl.lpf(w1, 0.1))
@@ -391,8 +388,7 @@ def run(cfg: RunConfig, progress=None) -> RunResult:
                 emit_checkpoint()
 
             mesh_updated = False
-            flag, why = mm.needs_update(state.u1.values, state.mesh_r, state.mesh_z,
-                                        cfg.n_min_r, cfg.n_min_z)
+            flag, why = mm.needs_update(state.u1.values, state.mesh_r, state.mesh_z)
             if flag:
                 state = rebuild_meshes(state, cfg)
                 counters["mesh_rebuilds"] += 1

@@ -40,8 +40,14 @@ class TestConfig:
             cli.parse_config(p)
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = write_config(tmp_path / "bad.cfg", "tend = 1e-5\n")
-        with pytest.raises(ConfigError, match="tend"):
+        for key, val in (("tend", "1e-5"), ("rlpf_nm", "64 64"), ("n_min_r", "16")):
+            p = write_config(tmp_path / "bad.cfg", f"{key} = {val}\n")
+            with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+                cli.build_run_config(cli.parse_config(p))
+
+    def test_bad_count_is_config_error(self, tmp_path):
+        p = write_config(tmp_path / "bad.cfg", "diag_every = 0\n")
+        with pytest.raises(ConfigError, match="diag_every must be >= 1"):
             cli.build_run_config(cli.parse_config(p))
 
     def test_cli_overrides_beat_file(self, tmp_path):

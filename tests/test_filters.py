@@ -96,10 +96,7 @@ class TestRLPF:
         r = coarse_r.nodes_y[:, None]
         z = coarse_z.nodes_y[None, :]
         u1 = np.exp(-((r - 2e-2) / 6e-3) ** 2) * np.exp(-((z - 4e-3) / 2e-3) ** 2)
-        tr = mm.derive_targets(u1, coarse_r, coarse_z, "r")
-        tz = mm.derive_targets(u1, coarse_r, coarse_z, "z")
-        mesh_r = mm.build_map(mm.R_KNOTS, mm.solve_phase_coeffs(mm.R_KNOTS, tr), 1.0, n)
-        mesh_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(mm.Z_KNOTS, tz), 0.5, m)
+        mesh_r, mesh_z = mm.build_pair(*mm.derive_targets(u1, coarse_r, coarse_z), n, m)
         rr = mesh_r.nodes_y[:, None]
         zz = mesh_z.nodes_y[None, :]
         u1m = np.exp(-((rr - 2e-2) / 6e-3) ** 2) * np.exp(-((zz - 4e-3) / 2e-3) ** 2)

@@ -263,10 +263,9 @@ class TestDeriveTargets:
         R, Z, w = 2e-3, 3e-4, 4e-4
         u1 = self._bump_field(mesh_r, mesh_z, R, Z, w, 2e-4)
         d_r = w / np.sqrt(2.0)
-        t = mm.derive_targets(u1, mesh_r, mesh_z, "r")
+        t, tz = mm.derive_targets(u1, mesh_r, mesh_z)
         assert t.y2 == pytest.approx(R + 3 * d_r, rel=0.02)
         assert t.y1 == pytest.approx(R - d_r - 4 * d_r, rel=0.05)
-        tz = mm.derive_targets(u1, mesh_r, mesh_z, "z")
         assert tz.y1 == 0.0
         assert tz.y2 == pytest.approx(1.5 * Z, rel=0.02)
         assert tz.y3 == pytest.approx(15.0 * Z, rel=0.02)
@@ -287,11 +286,7 @@ class TestNeedsUpdate:
         coarse_r = identity_mesh_r(n)
         coarse_z = identity_mesh_z(m)
         u1 = u1_builder(coarse_r, coarse_z, R, Z, wr, wz)
-        tr = mm.derive_targets(u1, coarse_r, coarse_z, "r")
-        tz = mm.derive_targets(u1, coarse_r, coarse_z, "z")
-        mesh_r = mm.build_map(mm.R_KNOTS, mm.solve_phase_coeffs(mm.R_KNOTS, tr), 1.0, n)
-        mesh_z = mm.build_map(mm.Z_KNOTS, mm.solve_phase_coeffs(mm.Z_KNOTS, tz), 0.5, m)
-        return mesh_r, mesh_z
+        return mm.build_pair(*mm.derive_targets(u1, coarse_r, coarse_z), n, m)
 
     def test_fresh_mesh_is_adequate(self):
         build = TestDeriveTargets._bump_field

@@ -1,4 +1,4 @@
-"""B-spline Galerkin Poisson solver: basis, assembly, manufactured solutions."""
+"""Hat-function Galerkin Poisson solver: assembly, fast solve, manufactured solutions."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,6 @@ from axiblow.errors import AssemblyFailure
 from axiblow.fields import FieldGrid
 
 from conftest import gentle_mesh_r, gentle_mesh_z, identity_mesh_r, identity_mesh_z
-
-_GX, _GW = np.polynomial.legendre.leggauss(10)
-
 
 def manufactured_rhs(mesh_r, mesh_z):
     r = mesh_r.nodes_y[:, None]
@@ -25,53 +22,49 @@ def manufactured_psi(mesh_r, mesh_z):
     return (1 - r**2) * np.sin(2 * np.pi * z)
 
 
-class TestBSpline:
-    def test_order_one_indicator(self):
-        assert ps.bspline_eval(1, 0.5) == 1.0
-        assert ps.bspline_eval(1, -0.1) == 0.0
-        assert ps.bspline_eval(1, 1.5) == 0.0
+def gauss_axis(n):
+    """6-point Gauss nodes and weights on every cell of the uniform n-cell grid of [0, 1]."""
+    gx, gw = np.polynomial.legendre.leggauss(6)
+    h = 1.0 / n
+    x = (np.arange(n)[:, None] * h + 0.5 * h * (gx[None, :] + 1.0)).ravel()
+    return x, np.tile(0.5 * h * gw, n)
 
-    def test_hat_peak_and_ramp(self):
-        assert ps.bspline_eval(2, 1.0) == 1.0
-        assert ps.bspline_eval(2, 0.25) == 0.25
-        assert ps.bspline_eval(2, 1.75) == pytest.approx(0.25)
 
-    def test_support_and_partition_of_unity(self):
-        x = np.linspace(-1.0, 5.0, 601)
-        for k in (2, 3, 4):
-            b = ps.bspline_eval(k, x)
-            assert np.all(b[(x < 0) | (x > k)] == 0.0)
-            # shifted copies sum to 1 inside the support interior
-            xs = np.linspace(2.0, 3.0, 41)
-            total = sum(ps.bspline_eval(k, xs + s) for s in range(-k - 2, k + 3))
-            assert total == pytest.approx(np.ones_like(xs))
+def hats(n, x):
+    """Values and slopes at x of the n + 1 uniform hats of [0, 1], each (len(x), n + 1).
 
-    def test_integral_recursion_oracle(self):
-        # b^k(x) must equal the quadrature of b^{k-1} over [x-1, x];
-        # integrate panel-by-panel between the integer knots so the
-        # piecewise-polynomial integrand is smooth on every panel.
-        for k in (2, 3, 4):
-            for x in (0.35, 1.1, 2.4):
-                breaks = sorted({x - 1.0, x} | {float(i) for i in range(0, k)
-                                                if x - 1.0 < i < x})
-                ref = 0.0
-                for lo, hi in zip(breaks[:-1], breaks[1:]):
-                    nodes = lo + 0.5 * (hi - lo) * (_GX + 1.0)
-                    ref += float((0.5 * (hi - lo) * _GW
-                                  * ps.bspline_eval(k - 1, nodes)).sum())
-                assert ps.bspline_eval(k, x) == pytest.approx(ref, abs=1e-12)
+    The values interpolate unit vectors; on every cell the slopes are -n and
+    +n for the hats of its left and right node.
+    """
+    values = np.stack([np.interp(x, np.linspace(0.0, 1.0, n + 1), e) for e in np.eye(n + 1)], 1)
+    cell = np.minimum((x * n).astype(int), n - 1)
+    slopes = np.zeros_like(values)
+    slopes[np.arange(len(x)), cell] = -n
+    slopes[np.arange(len(x)), cell + 1] = n
+    return values, slopes
 
-    def test_derivative_matches_difference_of_lower_order(self):
-        x = np.linspace(0.0, 4.0, 37)
-        d = ps.bspline_deriv(4, x)
-        expect = ps.bspline_eval(3, x) - ps.bspline_eval(3, x - 1.0)
-        assert d == pytest.approx(expect)
+
+def rho_basis(n, x):
+    """The weighted rho basis (1 - rho) hat_i, i = 0..n, and its derivative at x."""
+    b, db = hats(n, x)
+    w = (1.0 - x)[:, None]
+    return w * b, -b + w * db
+
+
+def eta_basis(m, x):
+    """The interior eta hats j = 1..m-1 and their derivatives at x."""
+    b, db = hats(m, x)
+    return b[:, 1:-1], db[:, 1:-1]
 
 
 class TestAssembly:
     def test_matrix_symmetric(self):
-        sys_ = ps.assemble(identity_mesh_r(24), identity_mesh_z(12))
-        assert sys_.symmetry_defect < 1e-14
+        # Each 1-D matrix equals its transpose bit for bit and is tridiagonal.
+        sys_ = ps.assemble(gentle_mesh_r(24), gentle_mesh_z(12))
+        for a in (sys_.K_rho, sys_.M_rho, sys_.K_eta, sys_.M_eta):
+            assert np.array_equal(a.toarray(), a.T.toarray())
+            a = a.tocoo()
+            assert np.abs(a.row - a.col)[a.data != 0].max() == 1
 
     def test_zero_load_consistency(self):
         mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
@@ -82,48 +75,33 @@ class TestAssembly:
     def test_entries_match_dense_quadrature_oracle(self):
         # Independent path: flat 2-D tensor quadrature of the bilinear form
         # (no Kronecker split, no banding) with the same defining composite
-        # 6-point rule per knot interval.
+        # 6-point rule per knot interval, on hats built here.
         mesh_r, mesh_z = gentle_mesh_r(12), gentle_mesh_z(6)
         sys_ = ps.assemble(mesh_r, mesh_z)
-        rb = ps._RhoBasis(mesh_r.n)
-        eb = ps._EtaBasis(mesh_z.n)
-
-        gx, gw = np.polynomial.legendre.leggauss(6)
-
-        def quad_axis(ncells):
-            h = 1.0 / ncells
-            x = (np.arange(ncells)[:, None] * h + 0.5 * h * (gx[None, :] + 1.0)).ravel()
-            wq = np.tile(0.5 * h * gw, ncells)
-            return x, wq
-
-        xr, wr = quad_axis(mesh_r.n)
-        xz, wz = quad_axis(mesh_z.n)
+        xr, wr = gauss_axis(mesh_r.n)
+        xz, wz = gauss_axis(mesh_z.n)
         r = mesh_r.value(xr)
         r_rho = mesh_r.deriv(xr)
         z_eta = mesh_z.deriv(xz)
-        w = ps._weight(xr)
-        dw = ps._weight_deriv(xr)
+        phi, dphi = rho_basis(mesh_r.n, xr)
+        B, dB = eta_basis(mesh_z.n, xz)
 
-        def a_entry(i1, j1, i2, j2):
-            phi1 = w * rb.value(i1, xr)
-            dphi1 = dw * rb.value(i1, xr) + w * rb.deriv(i1, xr)
-            phi2 = w * rb.value(i2, xr)
-            dphi2 = dw * rb.value(i2, xr) + w * rb.deriv(i2, xr)
-            B1, dB1 = eb.value(j1, xz), eb.deriv(j1, xz)
-            B2, dB2 = eb.value(j2, xz), eb.deriv(j2, xz)
-            grad_r = (dphi1 * dphi2 * r**3 / r_rho * wr)[:, None] * (B1 * B2 * z_eta * wz)[None, :]
-            grad_z = (phi1 * phi2 * r**3 * r_rho * wr)[:, None] * (dB1 * dB2 / z_eta * wz)[None, :]
+        def a_entry(i1, e1, i2, e2):
+            grad_r = ((dphi[:, i1] * dphi[:, i2] * r**3 / r_rho * wr)[:, None]
+                      * (B[:, e1] * B[:, e2] * z_eta * wz)[None, :])
+            grad_z = ((phi[:, i1] * phi[:, i2] * r**3 * r_rho * wr)[:, None]
+                      * (dB[:, e1] * dB[:, e2] / z_eta * wz)[None, :])
             return float((grad_r + grad_z).sum())
 
         rng = np.random.default_rng(11)
         for _ in range(3):
-            i1, i2 = rng.integers(0, rb.count, 2)
-            j1, j2 = rng.integers(1, eb.count + 1, 2)
+            i1, i2 = rng.integers(0, mesh_r.n + 1, 2)
+            j1, j2 = rng.integers(1, mesh_z.n, 2)
             # A = K_rho (x) M_eta + M_rho (x) K_eta; eta storage is j - 1
             e1, e2 = j1 - 1, j2 - 1
             got = (sys_.K_rho[i1, i2] * sys_.M_eta[e1, e2]
                    + sys_.M_rho[i1, i2] * sys_.K_eta[e1, e2])
-            assert got == pytest.approx(a_entry(i1, j1, i2, j2), rel=1e-10, abs=1e-14)
+            assert got == pytest.approx(a_entry(i1, e1, i2, e2), rel=1e-10, abs=1e-14)
 
     def test_assembly_counter_and_reuse(self):
         mesh_r, mesh_z = identity_mesh_r(16), identity_mesh_z(8)
@@ -239,20 +217,10 @@ class TestFastDiagonalization:
         sys_ = ps.assemble(mesh_r, mesh_z)
         sys_.solve(w)
         _, F = sys_.last_system()
-        gx, gw = np.polynomial.legendre.leggauss(6)
-
-        def axis(mesh):
-            h = 1.0 / mesh.n
-            x = (np.arange(mesh.n)[:, None] * h + 0.5 * h * (gx[None, :] + 1.0)).ravel()
-            hats = np.stack([np.interp(x, mesh.nodes_s, e) for e in np.eye(mesh.n + 1)], 1)
-            return x, np.tile(0.5 * h * gw, mesh.n), hats
-
-        xr, wr, hr = axis(mesh_r)
-        xz, wz, hz = axis(mesh_z)
-        rb, eb = ps._RhoBasis(mesh_r.n), ps._EtaBasis(mesh_z.n)
-        phi_r = np.stack([ps._weight(xr) * rb.value(i, xr) for i in range(rb.count)], 1)
-        phi_z = np.stack([eb.value(j, xz) for j in range(1, eb.count + 1)], 1)
-        omega = hr @ w @ hz.T
+        xr, wr = gauss_axis(mesh_r.n)
+        xz, wz = gauss_axis(mesh_z.n)
+        phi_r, phi_z = rho_basis(mesh_r.n, xr)[0], eta_basis(mesh_z.n, xz)[0]
+        omega = hats(mesh_r.n, xr)[0] @ w @ hats(mesh_z.n, xz)[0].T
         wr = wr * mesh_r.value(xr) ** 3 * mesh_r.deriv(xr)
         wz = wz * mesh_z.deriv(xz)
         ref = phi_r.T @ (wr[:, None] * omega * wz[None, :]) @ phi_z
@@ -274,10 +242,8 @@ class TestFastDiagonalization:
         sys_ = ps.assemble(mesh_r, mesh_z)
         psi = sys_.solve(w).values
         C, _ = sys_.last_system()
-        rho, eta = mesh_r.nodes_s, mesh_z.nodes_s
-        rb, eb = ps._RhoBasis(mesh_r.n), ps._EtaBasis(mesh_z.n)
-        E_r = np.stack([ps._weight(rho) * rb.value(i, rho) for i in range(rb.count)], 1)
-        E_z = np.stack([eb.value(j, eta) for j in range(1, eb.count + 1)], 1)
+        E_r = rho_basis(mesh_r.n, mesh_r.nodes_s)[0]
+        E_z = eta_basis(mesh_z.n, mesh_z.nodes_s)[0]
         ref = E_r @ C @ E_z.T
         assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
         assert not psi[-1].any()

@@ -27,6 +27,14 @@ def small_state(n=64, m=32, u1=None, w1=None):
     return st.SolutionState(u1, w1, 0.0, mesh_r, mesh_z, system)
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("name, value", [("diag_every", 0), ("ckpt_every", -1),
+                                             ("rlpf_k", -1)])
+    def test_bad_count_names_field(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= "):
+            st.RunConfig(**{name: value})
+
+
 class TestComputeDt:
     def _aux(self, state, ur_val, uz_val, nu):
         shape = state.u1.values.shape
@@ -417,6 +425,21 @@ class TestRunLoop:
         assert "reason: mesh-failure" in manifest
         assert "final_record_error: DegenerateProfile: no front" in manifest
 
+    def test_rebuild_locates_front_once(self, monkeypatch):
+        # Work-count guard: one front location serves both maps of a pair.
+        cfg = st.RunConfig(n=64, m=32)
+        state = st.build_initial_state(cfg)
+        calls = []
+        real = mm.profile_features
+
+        def profile_features(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mm, "profile_features", profile_features)
+        st.rebuild_meshes(state, cfg)
+        assert len(calls) == 1
+
     def test_case4_counts_rlpf(self):
         cfg = st.RunConfig(case=4, rlpf_k=5, n=128, m=64, t_end=3e-7)
         res = st.run(cfg)
@@ -437,6 +460,47 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError,
                            match=f"state.bin: checkpoint payload has {expected - 100} "
                                  f"bytes, expected {expected}"):
+            runio.read_checkpoint(path)
+
+    def _write_header_without(self, path, prefix, count=1):
+        """A checkpoint whose header lacks the count-th line that starts with prefix."""
+        state = small_state(16, 8)
+        runio.write_checkpoint(path, 0.0, 1, state.u1, state.w1, state.mesh_r, state.mesh_z)
+        head, sep, data = path.read_bytes().partition(b"\ndata:\n")
+        lines = head.split(b"\n")
+        seen = [k for k, x in enumerate(lines) if x.startswith(prefix)]
+        del lines[seen[count - 1]]
+        path.write_bytes(b"\n".join(lines) + sep + data)
+
+    def test_empty_file_names_path(self, tmp_path):
+        path = tmp_path / "state.bin"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="state.bin is not a checkpoint file"):
+            runio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["n", "knots"])
+    def test_header_without_field_names_it(self, tmp_path, field):
+        path = tmp_path / "state.bin"
+        self._write_header_without(path, f"{field}:".encode())
+        with pytest.raises(ValueError,
+                           match=f"state.bin: checkpoint header has no '{field}' field"):
+            runio.read_checkpoint(path)
+
+    def test_bad_header_value_names_path(self, tmp_path):
+        state = small_state(16, 8)
+        path = tmp_path / "state.bin"
+        runio.write_checkpoint(path, 0.0, 1, state.u1, state.w1, state.mesh_r, state.mesh_z)
+        path.write_bytes(path.read_bytes().replace(b"\nn: 16\n", b"\nn: sixteen\n", 1))
+        with pytest.raises(ValueError, match="state.bin: bad checkpoint header value: "
+                                             ".*'sixteen'"):
+            runio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("section, count", [("mesh_r", 1), ("mesh_z", 2)])
+    def test_missing_end_mesh_names_section(self, tmp_path, section, count):
+        path = tmp_path / "state.bin"
+        self._write_header_without(path, b"end_mesh", count)
+        with pytest.raises(ValueError, match=f"state.bin: checkpoint header has no "
+                                             f"'end_mesh' after '{section}:'"):
             runio.read_checkpoint(path)
 
     def test_bit_exact(self, tmp_path):
