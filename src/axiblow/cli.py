@@ -48,7 +48,7 @@ def build_run_config(file_values=None, overrides=None):
     """Merge config-file values and CLI overrides into a RunConfig."""
     import dataclasses
 
-    from .errors import ConfigError
+    from .errors import BadSetting, ConfigError
     from .physics import InitialDataParams
     from .stepper import RunConfig
 
@@ -56,6 +56,7 @@ def build_run_config(file_values=None, overrides=None):
     init_fields = {f.name for f in dataclasses.fields(InitialDataParams)}
     kwargs = {}
     init_kwargs = {}
+    source = {}  # where each setting came from, for RunConfig's range errors
 
     def convert(name, raw, lineno=None):
         where = f" (line {lineno})" if lineno else ""
@@ -85,16 +86,21 @@ def build_run_config(file_values=None, overrides=None):
         if key not in cfg_fields or key == "init":
             raise ConfigError(f"unknown configuration key {key!r} (line {lineno})")
         kwargs[key] = convert(key, raw, lineno)
+        source[key] = f"line {lineno}"
 
     for key, val in (overrides or {}).items():
         if val is None:
             continue
         kwargs[key] = val
+        source[key] = "command line"
 
     if init_kwargs:
         kwargs["init"] = InitialDataParams(**init_kwargs)
     try:
         return RunConfig(**kwargs)
+    except BadSetting as exc:
+        where = source.get(exc.field, "default")
+        raise ConfigError(f"bad value for {exc.field!r} ({where}): {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
 

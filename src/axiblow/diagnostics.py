@@ -195,6 +195,7 @@ def streamline(u1: FieldGrid, ur: FieldGrid, uz: FieldGrid,
     """
     r0, th0, z0 = start
     pos = np.array([r0 * np.cos(th0), r0 * np.sin(th0), z0])
+    fields = [(ur.values, "odd", "even"), (u1.values, "even", "odd"), (uz.values, "even", "odd")]
 
     def velocity(p):
         r = float(np.hypot(p[0], p[1]))
@@ -202,12 +203,8 @@ def streamline(u1: FieldGrid, ur: FieldGrid, uz: FieldGrid,
         if not (0.0 <= r <= 1.0 and 0.0 <= z <= mesh_z.L):
             return None
         rho, eta = mm.pull_back(mesh_r, mesh_z, [r], [z])
-        vals = np.array([
-            mm.evaluate_ip4(ur.values, rho, eta, "odd", "even")[0, 0],
-            mm.evaluate_ip4(u1.values, rho, eta, "even", "odd")[0, 0],
-            mm.evaluate_ip4(uz.values, rho, eta, "even", "odd")[0, 0],
-        ])
-        v_r, u_theta, v_z = vals[0], r * vals[1], vals[2]
+        v_r, u1_here, v_z = (v[0, 0] for v in mm._evaluate_many(rho, eta, fields))
+        u_theta = r * u1_here
         if r == 0.0:
             return np.array([0.0, 0.0, v_z])
         c, s = p[0] / r, p[1] / r

@@ -43,3 +43,11 @@ class ZeroField(ValueError):
 
 class ConfigError(ValueError):
     """Malformed run configuration file."""
+
+
+class BadSetting(ValueError):
+    """A run setting outside its allowed range; ``field`` names the setting."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field

@@ -69,18 +69,17 @@ def rlpf(fs: tuple, u1_current: np.ndarray, mesh_r: mm.MeshMap, mesh_z: mm.MeshM
 
     The coarse (N, M) mesh is rebuilt from the current swirl field so its
     phases track the solution now, not at the last reference time.  Every
-    field of ``fs`` shares that mesh pair and its two pull-backs; each is
-    filtered on its own, with strength ``c`` on the coarse grid, and
-    returned in order.  k = 0 performs the bare interpolation round trip
-    (exact on bicubics).
+    field of ``fs`` shares that mesh pair, its two pull-backs and their
+    interpolation stencils; each is filtered on its own, with strength
+    ``c`` on the coarse grid, and returned in order.  k = 0 performs the
+    bare interpolation round trip (exact on bicubics).
     """
     coarse_r, coarse_z = mm.build_pair(*mm.derive_targets(u1_current, mesh_r, mesh_z), N, M)
     down = mm.pull_back_nodes(mesh_r, mesh_z, coarse_r, coarse_z)
     up = mm.pull_back_nodes(coarse_r, coarse_z, mesh_r, mesh_z)
-    out = []
-    for f in fs:
-        coarse = f.like(mm.evaluate_ip4(f.values, *down, f.parity_r, f.parity_z))
-        for _ in range(k):
-            coarse = lpf(coarse, c)
-        out.append(f.like(mm.evaluate_ip4(coarse.values, *up, f.parity_r, f.parity_z)))
-    return tuple(out)
+    coarse = [f.like(v) for f, v in
+              zip(fs, mm._evaluate_many(*down, [(f.values, f.parity_r, f.parity_z) for f in fs]))]
+    for _ in range(k):
+        coarse = [lpf(g, c) for g in coarse]
+    back = mm._evaluate_many(*up, [(g.values, g.parity_r, g.parity_z) for g in coarse])
+    return tuple(f.like(v) for f, v in zip(fs, back))

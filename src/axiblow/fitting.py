@@ -54,16 +54,33 @@ class FitResult:
 
 
 def _linreg(x: np.ndarray, y: np.ndarray):
-    """Least squares y ~ a x + b with the R^2 of the fit."""
-    xm, ym = x.mean(), y.mean()
+    """Least squares y ~ a x + b with the R^2 of the fit, for each row of y.
+
+    ``y`` is one sample vector, or a stack of them along its last axis;
+    every row is reduced on its own, so a stacked row rounds exactly as it
+    would alone.
+    """
+    xm, ym = x.mean(), y.mean(axis=-1, keepdims=True)
     sxx = ((x - xm) ** 2).sum()
-    a = ((x - xm) * (y - ym)).sum() / sxx
+    dy = y - ym
+    a = ((x - xm) * dy).sum(axis=-1, keepdims=True) / sxx
     b = ym - a * xm
     resid = y - (a * x + b)
-    ss_err = (resid**2).sum()
-    ss_tot = ((y - ym) ** 2).sum()
-    r2 = 1.0 - ss_err / ss_tot if ss_tot > 0.0 else (1.0 if ss_err == 0.0 else -np.inf)
-    return a, b, r2
+    ss_err = (resid**2).sum(axis=-1)
+    ss_tot = (dy**2).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot > 0.0, 1.0 - ss_err / ss_tot,
+                      np.where(ss_err == 0.0, 1.0, -np.inf))
+    return a[..., 0], b[..., 0], r2
+
+
+def _first_best(r2: np.ndarray) -> int:
+    """The candidate a scan in order keeps when it takes each strictly
+    larger R^2: the first maximum.  A NaN never beats the one held, and a
+    NaN held first is never beaten."""
+    if np.isnan(r2[0]):
+        return 0
+    return int(np.argmax(np.where(np.isnan(r2), -np.inf, r2)))
 
 
 def _dvdt(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -135,13 +152,10 @@ def fit_model2(series: TimeSeries, window: tuple, c_init: float) -> FitResult:
     for _ in range(MAX_ROUNDS):
         cands = np.linspace(center - span, center + span, GRID)
         cands = cands[cands > 1e-6]
-        best = None
-        for c in cands:
-            gamma = sub.v ** (-1.0 / c)
-            a, b, r2 = _linreg(sub.t, gamma)
-            if best is None or r2 > best[3]:
-                best = (c, a, b, r2)
-        c, a, b, r2 = best
+        # Every candidate's power transform, one row each, in one pass.
+        a, b, r2 = _linreg(sub.t, sub.v ** (-1.0 / cands)[:, None])
+        k = _first_best(r2)
+        c, a, b, r2 = cands[k], a[k], b[k], r2[k]
         center = float(c)
         if c in (cands[0], cands[-1]):
             continue

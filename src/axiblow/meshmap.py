@@ -13,6 +13,13 @@ track the solution.  For large even b the step q_b is close to an
 indicator, which makes the phase-coefficient solve a small closed-form
 linear problem, while p stays analytic and (to ~1e-13) even at s=0 and
 s=1 so fields extend smoothly across the symmetry planes.
+
+Map queries are bound by call overhead, not arithmetic, so each one
+evaluates the density once: the steps of all its points are stacked into
+one q_b call, and a Newton step of the inverse takes P (6-point Gauss rule)
+and P' = p from the same call.  Fields interpolated at one pull-back share
+its cubic stencils.  Each fused path rounds exactly as the separate calls
+it replaces.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ MIN_POINTS_R = 16
 MIN_POINTS_Z = 16
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
+_GAUSS_X1 = _GAUSS_X + 1.0
 
 
 @dataclass(frozen=True)
@@ -104,42 +112,62 @@ def eval_q(x, b: int = DEFAULT_B):
     return _q_raw(x, b)[()]
 
 
-def _q_raw(x, b):
+def _q_raw(x, b, deriv=False):
     # x is clamped to [-1, 1]; at x = -1 the log is -inf and q is exactly 0.
     x = np.minimum(np.maximum(np.asarray(x, dtype=float), -1.0), 1.0)
     with np.errstate(divide="ignore"):
         w = b * np.log1p(x)
-    return 1.0 / (1.0 + np.exp(-w))
+    q = 1.0 / (1.0 + np.exp(-w))
+    if not deriv:
+        return q
+    # q' = b/(1+x) * q * (1-q) from the same q; it vanishes at both
+    # saturation ends.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return q, np.where(x > -1.0, b / (1.0 + x) * q * (1.0 - q), 0.0)
 
 
-def _dq_raw(x, b):
-    # q' = b/(1+x) * q * (1-q); vanishes at both saturation ends.
-    x = np.minimum(np.maximum(np.asarray(x, dtype=float), -1.0), 1.0)
-    q = _q_raw(x, b)
-    out = np.zeros_like(q)
-    inner = x > -1.0
-    out[inner] = b / (1.0 + x[inner]) * q[inner] * (1.0 - q[inner])
-    return out
+def _step_args(s, knots: PhaseKnots, coeffs: DensityCoeffs):
+    """The arguments s - s2, s - s3 (and, with an inner gap, s1 - s and
+    s1 + s) of the density's steps, stacked on a new leading axis so that
+    one _q_raw call evaluates every step."""
+    s = np.asarray(s, dtype=float)
+    x = np.empty((4 if coeffs.a0 != 0.0 else 2,) + s.shape)
+    np.subtract(s, knots.s2, out=x[0, ...])
+    np.subtract(s, knots.s3, out=x[1, ...])
+    if coeffs.a0 != 0.0:
+        np.subtract(knots.s1, s, out=x[2, ...])
+        np.add(knots.s1, s, out=x[3, ...])
+    return x
+
+
+def _p_from_steps(q, coeffs: DensityCoeffs):
+    p = coeffs.a1 + coeffs.a2 * q[0] + coeffs.a3 * q[1]
+    if coeffs.a0 != 0.0:
+        p = p + coeffs.a0 * (q[2] + q[3] - 1.0)
+    return p
+
+
+def _dp_from_steps(dq, coeffs: DensityCoeffs):
+    dp = coeffs.a2 * dq[0] + coeffs.a3 * dq[1]
+    if coeffs.a0 != 0.0:
+        dp = dp + coeffs.a0 * (-dq[2] + dq[3])
+    return dp
 
 
 def density(s, knots: PhaseKnots, coeffs: DensityCoeffs):
     """Evaluate the phase density p(s) (q arguments clamped to [-1, 1])."""
-    s = np.asarray(s, dtype=float)
-    b = coeffs.b
-    p = coeffs.a1 + coeffs.a2 * _q_raw(s - knots.s2, b) + coeffs.a3 * _q_raw(s - knots.s3, b)
-    if coeffs.a0 != 0.0:
-        p = p + coeffs.a0 * (_q_raw(knots.s1 - s, b) + _q_raw(knots.s1 + s, b) - 1.0)
-    return p
+    return _p_from_steps(_q_raw(_step_args(s, knots, coeffs), coeffs.b), coeffs)
 
 
 def density_deriv(s, knots: PhaseKnots, coeffs: DensityCoeffs):
     """dp/ds, analytic (used for the second derivative of the map)."""
-    s = np.asarray(s, dtype=float)
-    b = coeffs.b
-    dp = coeffs.a2 * _dq_raw(s - knots.s2, b) + coeffs.a3 * _dq_raw(s - knots.s3, b)
-    if coeffs.a0 != 0.0:
-        dp = dp + coeffs.a0 * (-_dq_raw(knots.s1 - s, b) + _dq_raw(knots.s1 + s, b))
-    return dp
+    return _dp_from_steps(_q_raw(_step_args(s, knots, coeffs), coeffs.b, deriv=True)[1], coeffs)
+
+
+def _density_and_deriv(s, knots: PhaseKnots, coeffs: DensityCoeffs):
+    """p(s) and dp/ds from one evaluation of the steps."""
+    q, dq = _q_raw(_step_args(s, knots, coeffs), coeffs.b, deriv=True)
+    return _p_from_steps(q, coeffs), _dp_from_steps(dq, coeffs)
 
 
 def solve_phase_coeffs(knots: PhaseKnots, targets: MeshTargets, b: int = DEFAULT_B) -> DensityCoeffs:
@@ -197,16 +225,47 @@ class MeshMap:
         self._cum = cum
         # The map is exact at the cell edges: P(_edges) = _edge_y.
         self._edge_y = self.rescale * cum
-        # Nodal caches for the uniform computational grid.
+        # Nodal caches for the uniform computational grid, and the map at
+        # the knots s1 and s2 (read by needs_update), from one evaluation
+        # of the density and its derivative.
         self.h = 1.0 / self.n
         self.nodes_s = np.linspace(0.0, 1.0, self.n + 1)
-        self.nodes_y = self.value(self.nodes_s)
-        self.nodes_dy = self.deriv(self.nodes_s)
-        self.nodes_d2y = self.deriv2(self.nodes_s)
+        s = np.concatenate([self.nodes_s, [knots.s1, knots.s2]])
+        j, half, x = self._gauss_points(s, with_point=True)
+        p, dp = _density_and_deriv(x, knots, coeffs)
+        y, n1 = self._integral(j, half, p), self.n + 1
+        self.nodes_y, self._knot_y = y[:n1], y[n1:]
+        self.nodes_dy = self.rescale * p[:n1, 6]
+        self.nodes_d2y = self.rescale * dp[:n1, 6]
         # Metric folded into centered-difference weights (see fields).
         self.w_d1 = 1.0 / (2.0 * self.h * self.nodes_dy)
         self.w_d2 = 1.0 / (self.h * self.nodes_dy) ** 2
         self.w_d2y = self.nodes_d2y / (2.0 * self.h * self.nodes_dy**3)
+
+    def _gauss_points(self, s, with_point):
+        """Quadrature of P at each s of a 1-D array in [0, 1]: the cell j
+        holding s, half the width of [edge_j, s], and that interval's 6
+        Gauss points as the rows of x; ``with_point`` appends s itself as
+        a 7th column, so one density call also gives P'(s)."""
+        # s >= 0 = _edges[0] puts j >= 0; s = 1 belongs to the last cell.
+        j = np.minimum(np.searchsorted(self._edges, s, side="right") - 1, len(self._edges) - 2)
+        lo = self._edges[j]
+        half = 0.5 * (s - lo)
+        x = np.empty((len(s), 7 if with_point else 6))
+        x[:, :6] = lo[:, None] + half[:, None] * _GAUSS_X1
+        if with_point:
+            x[:, 6] = s
+        return j, half, x
+
+    def _integral(self, j, half, p):
+        """P(s) from the density p at the Gauss points of _gauss_points."""
+        return self.rescale * (self._cum[j] + (half[:, None] * _GAUSS_W * p[:, :6]).sum(axis=1))
+
+    def _value_and_deriv(self, s):
+        """P(s) and P'(s) for a 1-D array s in [0, 1], from one density call."""
+        j, half, x = self._gauss_points(s, with_point=True)
+        p = density(x, self.knots, self.coeffs)
+        return self._integral(j, half, p), self.rescale * p[:, 6]
 
     def deriv(self, s):
         return self.rescale * density(s, self.knots, self.coeffs)
@@ -220,13 +279,8 @@ class MeshMap:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
             raise OutOfDomain("map argument outside [0, 1]")
-        s = np.clip(s, 0.0, 1.0)
-        j = np.clip(np.searchsorted(self._edges, s, side="right") - 1, 0, len(self._edges) - 2)
-        lo = self._edges[j]
-        half = 0.5 * (s - lo)
-        xq = lo[:, None] + half[:, None] * (_GAUSS_X + 1.0)
-        part = (half[:, None] * _GAUSS_W * density(xq, self.knots, self.coeffs)).sum(axis=1)
-        out = self.rescale * (self._cum[j] + part)
+        j, half, x = self._gauss_points(np.clip(s, 0.0, 1.0), with_point=False)
+        out = self._integral(j, half, density(x, self.knots, self.coeffs))
         return float(out[0]) if scalar else out
 
     def inverse(self, y):
@@ -235,23 +289,29 @@ class MeshMap:
         Each y is bracketed in its quadrature cell by the monotone edge
         table, started at the cell's linear interpolant and polished by
         three Newton steps on the analytic density, each clipped to the
-        cell.  This relies on cells much narrower than the 1/b width of a
-        density step, which build_map's CELLS_PER_PHASE cells give up to
-        b = MAX_B: there two steps leave ~1e-10 and the third reaches
-        round-off.
+        cell.  Each step takes P and P' from one density evaluation on
+        the 6 Gauss points and the point.  This relies on cells much
+        narrower than the 1/b width of a density step, which build_map's
+        CELLS_PER_PHASE cells give up to b = MAX_B: there two steps leave
+        ~1e-10 and the third reaches round-off.
         """
         scalar = np.ndim(y) == 0
         y = np.atleast_1d(np.asarray(y, dtype=float))
         tol = 1e-9 * self.L
-        if np.any(y < -tol) or np.any(y > self.L + tol):
+        if (y < -tol).any() or (y > self.L + tol).any():
             raise OutOfDomain("inverse-map argument outside [0, L]")
         y = np.clip(y, 0.0, self.L)
         table = self._edge_y
-        j = np.clip(np.searchsorted(table, y, side="right") - 1, 0, len(table) - 2)
+        j = np.minimum(np.searchsorted(table, y, side="right") - 1, len(table) - 2)
         lo, hi = self._edges[j], self._edges[j + 1]
         s = lo + (hi - lo) * (y - table[j]) / (table[j + 1] - table[j])
         for _ in range(3):
-            s = np.clip(s - (self.value(s) - y) / self.deriv(s), lo, hi)
+            # A step may land on the cell's right edge, which belongs to
+            # the next cell: _value_and_deriv re-brackets s as value() does.
+            # The clip calls the ufuncs directly: np.clip's Python-level
+            # argument checks are a large share of a one-point step.
+            value, slope = self._value_and_deriv(s)
+            s = np.minimum(np.maximum(s - (value - y) / slope, lo), hi)
         return float(s[0]) if scalar else s
 
 
@@ -272,14 +332,15 @@ def build_map(knots: PhaseKnots, coeffs: DensityCoeffs, L: float, n: int) -> Mes
             edges.append(np.linspace(lo, hi, CELLS_PER_PHASE + 1)[1:])
     cell_edges = np.concatenate(edges)
 
+    # One density call serves the positivity probe and the cell quadrature.
     probe = np.linspace(0.0, 1.0, 4097)
-    pmin = density(probe, knots, coeffs).min()
+    widths = np.diff(cell_edges)
+    gx = cell_edges[:-1, None] + np.outer(widths, 0.5 * _GAUSS_X1)
+    p = density(np.concatenate([probe, gx.ravel()]), knots, coeffs)
+    pmin = p[:probe.size].min()
     if pmin <= 0.0:
         raise NonPositiveDensity(f"density minimum {pmin:.6g} <= 0")
-
-    widths = np.diff(cell_edges)
-    gx = cell_edges[:-1, None] + np.outer(widths, 0.5 * (_GAUSS_X + 1.0))
-    raw = np.outer(widths, 0.5 * _GAUSS_W) * density(gx, knots, coeffs)
+    raw = np.outer(widths, 0.5 * _GAUSS_W) * p[probe.size:].reshape(gx.shape)
     cum = np.concatenate([[0.0], np.cumsum(raw.sum(axis=1))])
     total = cum[-1]
     if total <= 0.0:
@@ -330,7 +391,6 @@ def profile_features(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap) -> Profil
     eta = mesh_z.nodes_s[j0]
     if 0 < j0 < m:
         eta = refine_peak_parabolic(u1[i0, j0 - 1:j0 + 2], eta, mesh_z.h)
-    R = float(mesh_r.value(rho))
     Z = float(mesh_z.value(eta))
 
     # u1_r on the peak row, even at the axis and walled.  Dividing by 2h and
@@ -343,7 +403,7 @@ def profile_features(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap) -> Profil
     rho_r = mesh_r.nodes_s[ir]
     if 0 < ir < n:
         rho_r = refine_peak_parabolic(u1_r[ir - 1:ir + 2], rho_r, mesh_r.h)
-    R_r = float(mesh_r.value(rho_r))
+    R, R_r = (float(y) for y in mesh_r.value(np.array([rho, rho_r])))
 
     d_r = R - R_r
     if d_r <= 0.0:
@@ -394,15 +454,14 @@ def needs_update(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap):
     across [R_r, R] or [0, Z] drops below its threshold.
     """
     f = profile_features(u1, mesh_r, mesh_z)
-    r_lo = float(mesh_r.value(mesh_r.knots.s1))
-    r_hi = float(mesh_r.value(mesh_r.knots.s2))
+    r_lo, r_hi = float(mesh_r._knot_y[0]), float(mesh_r._knot_y[1])
     if mesh_r.coeffs.a0 <= 1e-9 * mesh_r.coeffs.a1:
         # Clamped build (r1 = (s1/s2) r2): the inner gap carries phase-1
         # density, so the resolved region extends all the way to the axis.
         r_lo = 0.0
     if f.R_r - f.d_r < r_lo or f.R + f.d_r > r_hi:
         return True, "front_r"
-    z_hi = float(mesh_z.value(mesh_z.knots.s2))
+    z_hi = float(mesh_z._knot_y[1])
     if 1.5 * f.Z > z_hi:
         return True, "front_z"
     ry = mesh_r.nodes_y
@@ -414,20 +473,21 @@ def needs_update(u1: np.ndarray, mesh_r: MeshMap, mesh_z: MeshMap):
     return False, None
 
 
-def _cubic_weights(q: np.ndarray, n: int, parity_left, parity_right):
+def _cubic_stencil(q, n: int, inward_left: bool, inward_right: bool):
     """Piecewise-cubic Lagrange stencils on the uniform grid {i/n}.
 
     Returns (idx, w) of shape (len(q), 4).  Stencils are centered on the
-    containing interval; at the ends they either shift inward (parity
-    None) or use a ghost node folded back with the parity sign.
+    containing interval; at an ``inward`` end they shift inside the grid,
+    at the other end they may reach the ghost nodes -1 or n + 1, which
+    _parity_fold maps back.
     """
     h = 1.0 / n
     t = np.asarray(q, dtype=float) / h
-    j = np.clip(np.floor(t).astype(int), 0, n - 1)
+    j = np.minimum(np.maximum(np.floor(t).astype(int), 0), n - 1)
     base = j - 1
-    if parity_left is None:
+    if inward_left:
         base = np.maximum(base, 0)
-    if parity_right is None:
+    if inward_right:
         base = np.minimum(base, n - 3)
     u = t - base
     w = np.empty((len(t), 4))
@@ -435,25 +495,55 @@ def _cubic_weights(q: np.ndarray, n: int, parity_left, parity_right):
     w[:, 1] = u * (u - 2.0) * (u - 3.0) / 2.0
     w[:, 2] = -u * (u - 1.0) * (u - 3.0) / 2.0
     w[:, 3] = u * (u - 1.0) * (u - 2.0) / 6.0
-    idx = base[:, None] + np.arange(4)[None, :]
+    return base[:, None] + np.arange(4)[None, :], w
+
+
+def _parity_fold(idx, w, n: int, parity_left, parity_right):
+    """Fold the ghost nodes of a stencil back onto the grid with the parity
+    sign of their end (parity None: the stencil was shifted inward)."""
     if parity_left is not None:
         neg = idx < 0
-        if np.any(neg):
+        if neg.any():
             idx = np.where(neg, -idx, idx)
             if parity_left == "odd":
                 w = np.where(neg, -w, w)
     if parity_right is not None:
         over = idx > n
-        if np.any(over):
+        if over.any():
             idx = np.where(over, 2 * n - idx, idx)
             if parity_right == "odd":
                 w = np.where(over, -w, w)
     return idx, w
 
 
+def _axis_weights(q, n: int, ends):
+    """Folded stencils of one axis for each (parity_left, parity_right) in
+    ``ends``; the stencil itself is computed once per end rule."""
+    stencils, out = {}, {}
+    for left, right in ends:
+        rule = (left is None, right is None)
+        if rule not in stencils:
+            stencils[rule] = _cubic_stencil(q, n, *rule)
+        out[left, right] = _parity_fold(*stencils[rule], n, left, right)
+    return out
+
+
 def _tensor_eval(values, idx_r, w_r, idx_z, w_z):
     tmp = np.einsum("qk,qkj->qj", w_r, values[idx_r, :])
     return np.einsum("pk,qpk->qp", w_z, tmp[:, idx_z])
+
+
+def _evaluate_many(rho, eta, fields):
+    """:func:`evaluate_ip4` of every (values, parity_r, parity_z) of
+    ``fields``, all on one grid, at one pull-back (rho, eta).
+
+    The stencils of each axis are computed once and folded once per
+    parity, not once per field.
+    """
+    n, m = fields[0][0].shape[0] - 1, fields[0][0].shape[1] - 1
+    w_r = _axis_weights(rho, n, {(pr, None) for _, pr, _ in fields})
+    w_z = _axis_weights(eta, m, {(pz, pz) for _, _, pz in fields})
+    return [_tensor_eval(v, *w_r[pr, None], *w_z[pz, pz]) for v, pr, pz in fields]
 
 
 def pull_back(src_r: MeshMap, src_z: MeshMap, r_pts, z_pts):
@@ -480,10 +570,7 @@ def evaluate_ip4(values: np.ndarray, rho, eta, parity_r=None, parity_z=None) -> 
     values at rho = 0 and both eta ends follow the declared parity; the
     rho = 1 end always shifts the stencil inward.
     """
-    n, m = values.shape[0] - 1, values.shape[1] - 1
-    idx_r, w_r = _cubic_weights(rho, n, parity_r, None)
-    idx_z, w_z = _cubic_weights(eta, m, parity_z, parity_z)
-    return _tensor_eval(values, idx_r, w_r, idx_z, w_z)
+    return _evaluate_many(rho, eta, [(values, parity_r, parity_z)])[0]
 
 
 def sample_ip4(values: np.ndarray, src_r: MeshMap, src_z: MeshMap,

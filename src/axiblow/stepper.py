@@ -30,7 +30,7 @@ from . import meshmap as mm
 from . import physics as ph
 from . import poisson as ps
 from . import runio
-from .errors import DegenerateProfile, NonFinite, NonPositiveDensity, SolveFailure
+from .errors import BadSetting, DegenerateProfile, NonFinite, NonPositiveDensity, SolveFailure
 from .fields import FieldGrid
 
 VELOCITY_FLOOR = 1e-30
@@ -54,15 +54,15 @@ class RunConfig:
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must lie in (0, 1)")
+            raise BadSetting("cfl", "cfl must lie in (0, 1)")
         if self.case not in (1, 2, 3, 4):
-            raise ValueError(f"unknown case {self.case}")
+            raise BadSetting("case", f"unknown case {self.case}")
         if self.diag_every < 1:
-            raise ValueError(f"diag_every must be >= 1, got {self.diag_every}")
+            raise BadSetting("diag_every", f"diag_every must be >= 1, got {self.diag_every}")
         if self.ckpt_every < 0:
-            raise ValueError(f"ckpt_every must be >= 0, got {self.ckpt_every}")
+            raise BadSetting("ckpt_every", f"ckpt_every must be >= 0, got {self.ckpt_every}")
         if self.rlpf_k < 0:
-            raise ValueError(f"rlpf_k must be >= 0, got {self.rlpf_k}")
+            raise BadSetting("rlpf_k", f"rlpf_k must be >= 0, got {self.rlpf_k}")
 
 
 @dataclass
@@ -209,8 +209,8 @@ def rebuild_meshes(state: SolutionState, cfg: RunConfig) -> SolutionState:
     mesh_r, mesh_z = mm.build_pair(
         *mm.derive_targets(state.u1.values, state.mesh_r, state.mesh_z), cfg.n, cfg.m)
     rho, eta = mm.pull_back_nodes(state.mesh_r, state.mesh_z, mesh_r, mesh_z)
-    u1 = FieldGrid(mm.evaluate_ip4(state.u1.values, rho, eta, "even", "odd"), "even", "odd")
-    w1 = FieldGrid(mm.evaluate_ip4(state.w1.values, rho, eta, "even", "odd"), "even", "odd")
+    u1, w1 = (FieldGrid(v, "even", "odd") for v in mm._evaluate_many(
+        rho, eta, [(state.u1.values, "even", "odd"), (state.w1.values, "even", "odd")]))
     u1.values[-1, :] = 0.0
     for f in (u1, w1):
         f.values[:, 0] = 0.0

@@ -46,8 +46,16 @@ class TestConfig:
                 cli.build_run_config(cli.parse_config(p))
 
     def test_bad_count_is_config_error(self, tmp_path):
-        p = write_config(tmp_path / "bad.cfg", "diag_every = 0\n")
-        with pytest.raises(ConfigError, match="diag_every must be >= 1"):
+        # The error names the rejected key and where it was set: its line
+        # in the file, or the command line for an override.
+        p = write_config(tmp_path / "bad.cfg", "case = 1\n# counts\ndiag_every = 0\n")
+        with pytest.raises(ConfigError, match=r"'diag_every' \(line 3\): diag_every must be >= 1"):
+            cli.build_run_config(cli.parse_config(p))
+        p = write_config(tmp_path / "ok.cfg", "case = 4\ncfl = 0.2\n")
+        with pytest.raises(ConfigError, match=r"'rlpf_k' \(command line\): rlpf_k must be >= 0"):
+            cli.build_run_config(cli.parse_config(p), {"rlpf_k": -1})
+        p = write_config(tmp_path / "cfl.cfg", "cfl = 2\n")
+        with pytest.raises(ConfigError, match=r"'cfl' \(line 1\): cfl must lie in"):
             cli.build_run_config(cli.parse_config(p))
 
     def test_cli_overrides_beat_file(self, tmp_path):

@@ -299,3 +299,18 @@ class TestStreamline:
         pts, exited = dg.streamline(*flow, start, s_max=1e-5, ds=1e-5)
         assert len(pts) == 2 and not exited
         assert len(calls) == 8
+
+    def test_one_stencil_per_axis_per_stage(self, computed_flow, monkeypatch):
+        # Work-count guard: ur, u1 and uz share each stage's stencils, one
+        # per axis (one stencil per field and axis makes 6 per stage).
+        flow, start = computed_flow
+        calls = []
+        real = mm._cubic_stencil
+
+        def stencil(q, n, *ends):
+            calls.append(n)
+            return real(q, n, *ends)
+
+        monkeypatch.setattr(mm, "_cubic_stencil", stencil)
+        dg.streamline(*flow, start, s_max=1e-5, ds=1e-5)
+        assert calls == [64, 32] * 4

@@ -7,7 +7,7 @@ from axiblow import filters as fl
 from axiblow import meshmap as mm
 from axiblow.fields import FieldGrid
 
-from conftest import identity_mesh_r, identity_mesh_z
+from conftest import identity_mesh_r, identity_mesh_z, ip4_oracle
 
 
 class TestLPF:
@@ -161,3 +161,41 @@ class TestRLPF:
         assert [(f.parity_r, f.parity_z) for f in pair] == [("odd", "even"), ("even", "odd")]
         assert np.array_equal(pair[0].values, fl.rlpf((a,), *args)[0].values)
         assert np.array_equal(pair[1].values, fl.rlpf((b,), *args)[0].values)
+
+    def _pair_setup(self):
+        mesh_r, mesh_z, u1 = self._front_setup(128, 64)
+        rho = mesh_r.nodes_s[:, None]
+        eta = mesh_z.nodes_s[None, :]
+        a = FieldGrid(np.sin(3 * rho) * np.cos(np.pi * eta), "odd", "even")
+        b = FieldGrid(np.cos(2 * rho) * np.sin(2 * np.pi * eta), "even", "odd")
+        return (a, b), (u1, mesh_r, mesh_z, 5, 64, 64, fl.l_shape_strength(64, 64))
+
+    def test_pair_matches_per_field_stencils(self):
+        # Oracle: each field moved down and back up with stencils computed
+        # for that field alone; the shared stencils give the same bits.
+        fs, args = self._pair_setup()
+        u1, mesh_r, mesh_z, k, N, M, c = args
+        coarse_r, coarse_z = mm.build_pair(*mm.derive_targets(u1, mesh_r, mesh_z), N, M)
+        down = mm.pull_back_nodes(mesh_r, mesh_z, coarse_r, coarse_z)
+        up = mm.pull_back_nodes(coarse_r, coarse_z, mesh_r, mesh_z)
+        for got, f in zip(fl.rlpf(fs, *args), fs):
+            g = f.like(ip4_oracle(f.values, *down, f.parity_r, f.parity_z))
+            for _ in range(k):
+                g = fl.lpf(g, c)
+            assert np.array_equal(got.values, ip4_oracle(g.values, *up, f.parity_r, f.parity_z))
+
+    def test_one_stencil_per_axis_per_direction(self, monkeypatch):
+        # Work-count guard: both fields share the stencils of each
+        # direction, one per axis (one per field and axis makes 8).
+        fs, args = self._pair_setup()
+        calls = []
+        real = mm._cubic_stencil
+
+        def stencil(q, n, *ends):
+            calls.append((len(q), n))
+            return real(q, n, *ends)
+
+        monkeypatch.setattr(mm, "_cubic_stencil", stencil)
+        fl.rlpf(fs, *args)
+        # down: fine-grid values at the 65 x 65 coarse nodes; up: the reverse
+        assert calls == [(65, 128), (65, 64), (129, 64), (65, 64)]

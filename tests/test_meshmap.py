@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from axiblow import meshmap as mm
 from axiblow.errors import DegenerateProfile, NonPositiveDensity, OutOfDomain
 
-from conftest import gentle_mesh_r, gentle_mesh_z, identity_mesh_r, identity_mesh_z
+from conftest import (gentle_mesh_r, gentle_mesh_z, identity_mesh_r, identity_mesh_z,
+                      ip4_oracle)
 
 
 class TestEvalQ:
@@ -220,20 +221,155 @@ class TestInverse:
         with pytest.raises(OutOfDomain):
             gentle_mesh_r(64).inverse(y)
 
-    def test_value_calls_bounded(self, monkeypatch):
-        # Work-count guard: three Newton steps, no bisection sweeps.
+    def test_density_evaluations_per_inverse(self, monkeypatch):
+        # Work-count guard: three Newton steps, no bisection sweeps, and
+        # each step takes P and P' from one density evaluation (a step
+        # that calls value and deriv apart makes 6).
         mesh = gentle_mesh_r(256)
         y = mesh.nodes_y.copy()
         calls = []
-        real = mm.MeshMap.value
+        real = mm.density
 
-        def value(self, s):
-            calls.append(np.size(s))
-            return real(self, s)
+        def density(s, knots, coeffs):
+            calls.append(np.shape(s))
+            return real(s, knots, coeffs)
 
-        monkeypatch.setattr(mm.MeshMap, "value", value)
+        monkeypatch.setattr(mm, "density", density)
         mesh.inverse(y)
-        assert len(calls) <= 4
+        assert calls == [(257, 7)] * 3
+
+
+# The map formulas as they stood when every step of the density, and every
+# map query, was evaluated on its own; kept as oracles, since evaluating
+# them together must not change a single bit.
+
+def _q_oracle(x, b):
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), -1.0), 1.0)
+    with np.errstate(divide="ignore"):
+        w = b * np.log1p(x)
+    return 1.0 / (1.0 + np.exp(-w))
+
+
+def _dq_oracle(x, b):
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), -1.0), 1.0)
+    q = _q_oracle(x, b)
+    out = np.zeros_like(q)
+    inner = x > -1.0
+    out[inner] = b / (1.0 + x[inner]) * q[inner] * (1.0 - q[inner])
+    return out
+
+
+def density_oracle(s, k, c):
+    s = np.asarray(s, dtype=float)
+    p = c.a1 + c.a2 * _q_oracle(s - k.s2, c.b) + c.a3 * _q_oracle(s - k.s3, c.b)
+    if c.a0 != 0.0:
+        p = p + c.a0 * (_q_oracle(k.s1 - s, c.b) + _q_oracle(k.s1 + s, c.b) - 1.0)
+    return p
+
+
+def density_deriv_oracle(s, k, c):
+    s = np.asarray(s, dtype=float)
+    dp = c.a2 * _dq_oracle(s - k.s2, c.b) + c.a3 * _dq_oracle(s - k.s3, c.b)
+    if c.a0 != 0.0:
+        dp = dp + c.a0 * (-_dq_oracle(k.s1 - s, c.b) + _dq_oracle(k.s1 + s, c.b))
+    return dp
+
+
+def value_oracle(edges, cum, rescale, k, c, s):
+    s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, 1.0)
+    j = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, len(edges) - 2)
+    lo = edges[j]
+    half = 0.5 * (s - lo)
+    xq = lo[:, None] + half[:, None] * (mm._GAUSS_X + 1.0)
+    part = (half[:, None] * mm._GAUSS_W * density_oracle(xq, k, c)).sum(axis=1)
+    return rescale * (cum[j] + part)
+
+
+def inverse_oracle(mesh, y):
+    y = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), 0.0, mesh.L)
+    table = mesh._edge_y
+    j = np.clip(np.searchsorted(table, y, side="right") - 1, 0, len(table) - 2)
+    lo, hi = mesh._edges[j], mesh._edges[j + 1]
+    s = lo + (hi - lo) * (y - table[j]) / (table[j + 1] - table[j])
+    for _ in range(3):
+        value = value_oracle(mesh._edges, mesh._cum, mesh.rescale, mesh.knots, mesh.coeffs, s)
+        slope = mesh.rescale * density_oracle(s, mesh.knots, mesh.coeffs)
+        s = np.clip(s - (value - y) / slope, lo, hi)
+    return s
+
+
+def build_oracle(k, c, L, n):
+    """build_map's quadrature table and MeshMap's nodal caches."""
+    breakpoints = [0.0, k.s1, k.s2, k.s3, 1.0]
+    edges = np.concatenate([[0.0]] + [np.linspace(lo, hi, mm.CELLS_PER_PHASE + 1)[1:]
+                                      for lo, hi in zip(breakpoints[:-1], breakpoints[1:])
+                                      if hi > lo])
+    widths = np.diff(edges)
+    gx = edges[:-1, None] + np.outer(widths, 0.5 * (mm._GAUSS_X + 1.0))
+    raw = np.outer(widths, 0.5 * mm._GAUSS_W) * density_oracle(gx, k, c)
+    cum = np.concatenate([[0.0], np.cumsum(raw.sum(axis=1))])
+    rescale = L / cum[-1]
+    h, s = 1.0 / n, np.linspace(0.0, 1.0, n + 1)
+    dy = rescale * density_oracle(s, k, c)
+    d2y = rescale * density_deriv_oracle(s, k, c)
+    return {"_cum": cum, "rescale": rescale,
+            "nodes_y": value_oracle(edges, cum, rescale, k, c, s),
+            "nodes_dy": dy, "nodes_d2y": d2y,
+            "w_d1": 1.0 / (2.0 * h * dy), "w_d2": 1.0 / (h * dy) ** 2,
+            "w_d2y": d2y / (2.0 * h * dy**3),
+            "_knot_y": value_oracle(edges, cum, rescale, k, c, [k.s1, k.s2])}
+
+
+SAME_NUMBER_MAPS = EXTREME_MAPS + [
+    (mm.R_KNOTS, mm.MeshTargets(1e-9, 5e-9, 1e-8, 1.0), 1.0, 200),
+    (mm.R_KNOTS, mm.MeshTargets(7e-5, 3.5e-4, 6e-4, 1.0), 1.0, 60),
+    (mm.Z_KNOTS, mm.MeshTargets(0.0, 1.5e-5, 1.5e-4, 0.5), 0.5, 60),
+]
+
+
+class TestSameNumbers:
+    @staticmethod
+    def _mesh(knots, targets, L, b, n=256):
+        return mm.build_map(knots, mm.solve_phase_coeffs(knots, targets, b), L, n)
+
+    @pytest.mark.parametrize("knots,targets,L,b", SAME_NUMBER_MAPS)
+    def test_density_matches_step_by_step(self, knots, targets, L, b):
+        c = mm.solve_phase_coeffs(knots, targets, b)
+        s = np.linspace(-0.2, 1.2, 1400).reshape(7, 200)
+        with np.errstate(over="ignore"):  # exp(-w) at the far end of a b = 200 step
+            assert np.array_equal(mm.density(s, knots, c), density_oracle(s, knots, c))
+            assert np.array_equal(mm.density_deriv(s, knots, c),
+                                  density_deriv_oracle(s, knots, c))
+        assert mm.density(0.37, knots, c) == density_oracle(0.37, knots, c)
+
+    @pytest.mark.parametrize("knots,targets,L,b", SAME_NUMBER_MAPS)
+    def test_build_caches_match(self, knots, targets, L, b):
+        for n in (64, 257):
+            mesh = self._mesh(knots, targets, L, b, n)
+            for name, want in build_oracle(knots, mesh.coeffs, L, n).items():
+                assert np.array_equal(getattr(mesh, name), want), name
+
+    @pytest.mark.parametrize("knots,targets,L,b", SAME_NUMBER_MAPS)
+    def test_inverse_matches(self, knots, targets, L, b):
+        mesh = self._mesh(knots, targets, L, b)
+        s = np.concatenate([np.random.default_rng(b).random(2000), mesh.nodes_s, mesh._edges])
+        y = np.concatenate([mesh.value(s), mesh._edge_y, [0.0, L, L * (1.0 + 5e-10)]])
+        assert np.array_equal(mesh.inverse(y), inverse_oracle(mesh, y))
+        assert np.array_equal(mesh.value(s), value_oracle(mesh._edges, mesh._cum, mesh.rescale,
+                                                          knots, mesh.coeffs, s))
+        for one in y[::397]:
+            assert mesh.inverse(one) == inverse_oracle(mesh, one)[0]
+
+    def test_shared_stencils_match_per_field(self, rng):
+        # One stencil per axis, folded per parity, against each field's own.
+        vals = [rng.standard_normal((49, 25)) for _ in range(4)]
+        rho = np.concatenate([rng.random(40), [0.0, 1.0, 1.0 / 48, 47.0 / 48]])
+        eta = np.concatenate([rng.random(30), [0.0, 1.0, 1.0 / 24, 23.0 / 24]])
+        parities = [("odd", "even"), ("even", "odd"), ("even", "odd"), (None, None)]
+        fields = [(v, pr, pz) for v, (pr, pz) in zip(vals, parities)]
+        for got, (v, pr, pz) in zip(mm._evaluate_many(rho, eta, fields), fields):
+            assert np.array_equal(got, ip4_oracle(v, rho, eta, pr, pz))
+            assert np.array_equal(mm.evaluate_ip4(v, rho, eta, pr, pz), got)
 
 
 class TestDeriveTargets:

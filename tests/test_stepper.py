@@ -15,7 +15,7 @@ from axiblow import stepper as st
 from axiblow.errors import DegenerateProfile, SolveFailure
 from axiblow.fields import FieldGrid
 
-from conftest import identity_mesh_r, identity_mesh_z
+from conftest import identity_mesh_r, identity_mesh_z, ip4_oracle
 
 
 def small_state(n=64, m=32, u1=None, w1=None):
@@ -439,6 +439,38 @@ class TestRunLoop:
         monkeypatch.setattr(mm, "profile_features", profile_features)
         st.rebuild_meshes(state, cfg)
         assert len(calls) == 1
+
+    def test_rebuild_moves_with_per_field_stencils(self):
+        # Oracle: u1 and w1 moved with stencils computed for each field
+        # alone; the shared stencils give the same bits.
+        cfg = st.RunConfig(n=64, m=32)
+        state = st.build_initial_state(cfg)
+        spec = ph.spec_for_case(1)
+        for _ in range(2):
+            state, _, _ = st.step_rk2(state, spec, cfg)
+        moved = st.rebuild_meshes(state, cfg)
+        rho, eta = mm.pull_back_nodes(state.mesh_r, state.mesh_z, moved.mesh_r, moved.mesh_z)
+        for old, new in ((state.u1, moved.u1), (state.w1, moved.w1)):
+            want = ip4_oracle(old.values, rho, eta, "even", "odd")
+            want[:, [0, -1]] = 0.0
+            if old is state.u1:
+                want[-1, :] = 0.0
+            assert np.array_equal(new.values, want)
+
+    def test_rebuild_computes_one_stencil_per_axis(self, monkeypatch):
+        # Work-count guard: u1 and w1 share the stencils of the move.
+        cfg = st.RunConfig(n=64, m=32)
+        state = st.build_initial_state(cfg)
+        calls = []
+        real = mm._cubic_stencil
+
+        def stencil(q, n, *ends):
+            calls.append(n)
+            return real(q, n, *ends)
+
+        monkeypatch.setattr(mm, "_cubic_stencil", stencil)
+        st.rebuild_meshes(state, cfg)
+        assert calls == [64, 32]
 
     def test_case4_counts_rlpf(self):
         cfg = st.RunConfig(case=4, rlpf_k=5, n=128, m=64, t_end=3e-7)
